@@ -3,54 +3,6 @@ with the oracles and property harnesses that verify the equivalence."""
 
 __version__ = "0.1.0"
 
-from .problem import (  # noqa: F401
-    ProblemInstance,
-    cost_matrix,
-    instance_from_json,
-    instance_to_json,
-    permutation_instance,
-    sorting_instance,
-)
-from .prompt import HiddenState, PromptLayout, build_prompt, read_dual, with_duals  # noqa: F401
-from .dual_descent import (  # noqa: F401
-    DualIterate,
-    StepsizeSchedule,
-    Trajectory,
-    adaptive_stepsizes,
-    dual_objective,
-    gd_run,
-    gd_step,
-    gradients,
-    hessian,
-    kernel,
-)
-from .transformer_core import (  # noqa: F401
-    AttentionHead,
-    ForwardTrace,
-    LayerWeights,
-    apply_plan,
-    attention,
-    attention_pattern,
-    build_constructed_weights,
-    forward,
-    layer_forward,
-    load_weights,
-    save_weights,
-)
-from .sinkhorn_lab import (  # noqa: F401
-    GibbsKernel,
-    ScalingPair,
-    SinkhornError,
-    SinkhornResult,
-    contraction_factor,
-    contraction_history,
-    f_map,
-    g_map,
-    gibbs_kernel,
-    hilbert_metric,
-    marginal_error,
-    marginal_membership,
-    max_cross_ratio,
-    sinkhorn_solve,
-)
-from .oracles import brute_force_ot, finite_diff_grad, round_plan, sort_oracle  # noqa: F401
+from .problem import ProblemInstance, cost_matrix, permutation_instance  # noqa: F401
+from .sinkhorn_lab import SinkhornError, gibbs_kernel, sinkhorn_solve  # noqa: F401
+from .transformer_core import apply_plan, attention_pattern, build_constructed_weights, forward  # noqa: F401

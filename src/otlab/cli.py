@@ -18,6 +18,7 @@ from . import __version__, checks
 from . import dual_descent as dd
 from . import io as otio
 from . import sinkhorn_lab as sl
+from .logdomain import marginal_error
 from .oracles import sort_oracle
 from .problem import ProblemInstance, cost_matrix, permutation_instance, sorting_instance
 from .transformer_core import (
@@ -155,7 +156,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
         for k in marks:
             pattern = trace.kernel_patterns[k][0]
             per_layer[str(k)] = {
-                "eps_star": sl.marginal_error(pattern),
+                "eps_star": marginal_error(pattern),
                 "frobenius_to_fixed_point": float(np.linalg.norm(pattern - ref.plan)),
             }
             if out:

@@ -17,14 +17,11 @@ quantity below).
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
-
-def _lse(a: np.ndarray, axis: int) -> np.ndarray:
-    # lean logsumexp for the hot per-step paths; inputs are always finite here
-    m = a.max(axis=axis, keepdims=True)
-    return m.squeeze(axis) + np.log(np.exp(a - m).sum(axis=axis))
+from .logdomain import log_kernel, lse
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,53 +47,17 @@ def zero_iterate(n: int) -> DualIterate:
     return DualIterate(u=np.zeros(n), v=np.zeros(n), step=0)
 
 
-@dataclasses.dataclass(frozen=True)
-class KernelMatrix:
-    """The positive matrix M at a dual iterate, kept with its log."""
-
-    M: np.ndarray
-    logM: np.ndarray
-
-    @property
-    def row_sums(self) -> np.ndarray:
-        return np.exp(_lse(self.logM, axis=1))
-
-    @property
-    def col_sums(self) -> np.ndarray:
-        return np.exp(_lse(self.logM, axis=0))
-
-
-def kernel(C: np.ndarray, it: DualIterate, lam: float) -> KernelMatrix:
-    logM = (-C + it.u[:, None] + it.v[None, :]) / lam - 1.0
-    return KernelMatrix(M=np.exp(logM), logM=logM)
-
-
 def dual_objective(C: np.ndarray, it: DualIterate, lam: float) -> float:
     n = C.shape[0]
-    logM = (-C + it.u[:, None] + it.v[None, :]) / lam - 1.0
-    total = np.exp(_lse(logM.ravel(), axis=0))
+    total = np.exp(lse(log_kernel(C, it.u, it.v, lam).ravel(), axis=0))
     return lam * total - (it.u.sum() + it.v.sum()) / n
 
 
 def gradients(C: np.ndarray, it: DualIterate, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Marginal defects (M 1 - 1/n, M^T 1 - 1/n) of the kernel at the iterate."""
     n = C.shape[0]
-    k = kernel(C, it, lam)
-    return k.row_sums - 1.0 / n, k.col_sums - 1.0 / n
-
-
-def marginal_error(k: KernelMatrix) -> float:
-    """Largest row/column-sum deviation from 1/n; equals the sup-norm of the gradient."""
-    n = k.logM.shape[0]
-    return max(
-        float(np.abs(k.row_sums - 1.0 / n).max()),
-        float(np.abs(k.col_sums - 1.0 / n).max()),
-    )
-
-
-def adaptive_stepsizes(k: KernelMatrix, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal preconditioners gamma/(row_sum + 1) and gamma/(col_sum + 1)."""
-    return gamma / (k.row_sums + 1.0), gamma / (k.col_sums + 1.0)
+    logM = log_kernel(C, it.u, it.v, lam)
+    return np.exp(lse(logM, axis=1)) - 1.0 / n, np.exp(lse(logM, axis=0)) - 1.0 / n
 
 
 def _step_ratio(log_s: np.ndarray, n: int) -> np.ndarray:
@@ -113,9 +74,9 @@ def _step_ratio(log_s: np.ndarray, n: int) -> np.ndarray:
 def gd_step(C: np.ndarray, it: DualIterate, lam: float, gamma: float) -> DualIterate:
     """One preconditioned descent step; both blocks read the same iterate."""
     n = C.shape[0]
-    logM = (-C + it.u[:, None] + it.v[None, :]) / lam - 1.0
-    u = it.u - gamma * _step_ratio(_lse(logM, axis=1), n)
-    v = it.v - gamma * _step_ratio(_lse(logM, axis=0), n)
+    logM = log_kernel(C, it.u, it.v, lam)
+    u = it.u - gamma * _step_ratio(lse(logM, axis=1), n)
+    v = it.v - gamma * _step_ratio(lse(logM, axis=0), n)
     return DualIterate(u=u, v=v, step=it.step + 1)
 
 
@@ -148,7 +109,11 @@ class StepsizeSchedule:
         if self.mode == "fixed":
             return self.gamma
         if self.mode == "radius":
-            return 1.0 / smoothness_bound(n, self.r, lam)
+            # 1/smoothness_bound without forming e^{2r/lam}, which overflows first
+            gamma = math.exp(-2.0 * self.r / lam) / (n + 2)
+            if not 0.0 < gamma < math.inf:
+                raise ValueError(f"radius {self.r} at lambda {lam} gives a stepsize of {gamma}")
+            return gamma
         raise ValueError(f"unknown schedule mode {self.mode!r}")
 
 
@@ -189,13 +154,13 @@ def gd_run(
     gus, gvs, objs, errs, deltas = [], [], [], [], []
 
     def record(cur: DualIterate):
-        logM = (-C + cur.u[:, None] + cur.v[None, :]) / lam - 1.0
-        log_rs = _lse(logM, axis=1)
-        rs, cs = np.exp(log_rs), np.exp(_lse(logM, axis=0))
+        logM = log_kernel(C, cur.u, cur.v, lam)
+        log_rs = lse(logM, axis=1)
+        rs, cs = np.exp(log_rs), np.exp(lse(logM, axis=0))
         gu, gv = rs - 1.0 / n, cs - 1.0 / n
         gus.append(np.linalg.norm(gu))
         gvs.append(np.linalg.norm(gv))
-        objs.append(lam * np.exp(_lse(log_rs, axis=0)) - (cur.u.sum() + cur.v.sum()) / n)
+        objs.append(lam * np.exp(lse(log_rs, axis=0)) - (cur.u.sum() + cur.v.sum()) / n)
         errs.append(max(np.abs(gu).max(), np.abs(gv).max()))
         if reference is not None:
             c = cur.u.mean() - reference[0].mean()
@@ -245,13 +210,14 @@ def smoothness_bound(n: int, r: float, lam: float) -> float:
 
 def hessian(C: np.ndarray, it: DualIterate, lam: float) -> np.ndarray:
     """Exact dual Hessian (1/lam) [[diag(M1), M], [M^T, diag(M^T 1)]]."""
-    k = kernel(C, it, lam)
+    logM = log_kernel(C, it.u, it.v, lam)
+    M = np.exp(logM)
     n = C.shape[0]
     H = np.zeros((2 * n, 2 * n))
-    H[:n, :n] = np.diag(k.row_sums)
-    H[:n, n:] = k.M
-    H[n:, :n] = k.M.T
-    H[n:, n:] = np.diag(k.col_sums)
+    H[:n, :n] = np.diag(np.exp(lse(logM, axis=1)))
+    H[:n, n:] = M
+    H[n:, :n] = M.T
+    H[n:, n:] = np.diag(np.exp(lse(logM, axis=0)))
     return H / lam
 
 

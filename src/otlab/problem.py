@@ -100,8 +100,14 @@ def permutation_instance(n: int, seed: int, lam: float = 0.005) -> ProblemInstan
 
 
 def sorting_instance(values, lam: float = 0.005) -> ProblemInstance:
-    """Instance whose sources are the given 1-D values and targets the grid i/n."""
+    """Instance whose sources are the given 1-D values and targets the grid i/n.
+
+    The values must lie in [0, 1], the span of the grid: outside it the plan
+    matches them to the wrong targets and the barycentric sort is wrong.
+    """
     x = np.asarray(values, dtype=float).ravel()
+    if not ((x >= 0.0) & (x <= 1.0)).all():
+        raise ValueError("values to sort must lie in [0, 1]")
     grid = (1.0 + np.arange(x.size)) / x.size
     return ProblemInstance(x=x, y=grid, lam=lam)
 

@@ -158,7 +158,12 @@ def build_constructed_weights(d: int, lam: float, gamma: float) -> LayerWeights:
 
 
 def _probe_check(weights: LayerWeights) -> None:
-    """Verify the construction on a random 3-point instance with nonzero duals."""
+    """Verify the construction on a random 3-point instance with nonzero duals.
+
+    A failure means the construction does not hold at these parameters (say,
+    a stepsize whose steps outgrow the feedforward's reset guard), so it is
+    reported as a ValueError like the other parameter checks.
+    """
     rng = np.random.default_rng(1234)
     n, d, lam = 3, weights.d, weights.lam
     inst = ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam)
@@ -173,18 +178,18 @@ def _probe_check(weights: LayerWeights) -> None:
     want = (-C + u[:, None] + v[None, :]) / lam - 1.0
     scale = max(1.0, np.abs(want).max())
     if np.abs(logits[:n, :n] - want).max() > 1e-9 * scale:
-        raise AssertionError("constructed logits do not match the kernel exponents")
+        raise ValueError("constructed logits do not match the kernel exponents")
     if logits[n, :].any() or logits[:, n].any():
-        raise AssertionError("auxiliary token logits are not exactly zero")
+        raise ValueError("auxiliary token logits are not exactly zero")
     logits2 = state.Z @ weights.heads[1].Q @ state.Z.T
     if np.abs(logits2[:n, :n] - want.T).max() > 1e-9 * scale:
-        raise AssertionError("second head logits are not the transpose")
+        raise ValueError("second head logits are not the transpose")
 
     values = state.Z @ weights.heads[0].Wv
     expect = np.zeros_like(values)
     expect[:, lay.u] = -state.Z[:, lay.marker]
     if not np.array_equal(values, expect):
-        raise AssertionError("head-1 value map does not read the marker column")
+        raise ValueError("head-1 value map does not read the marker column")
 
     stepped = layer_forward(state, weights)
     got_u, got_v = read_dual(stepped)
@@ -193,9 +198,9 @@ def _probe_check(weights: LayerWeights) -> None:
         np.allclose(got_u, ref.u, rtol=1e-9, atol=1e-12)
         and np.allclose(got_v, ref.v, rtol=1e-9, atol=1e-12)
     ):
-        raise AssertionError("one layer does not match one descent step")
+        raise ValueError("one layer does not match one descent step")
     if stepped.Z[n, lay.u] != 0.0 or stepped.Z[n, lay.v] != 0.0:
-        raise AssertionError("auxiliary dual scratch was not cleared")
+        raise ValueError("auxiliary dual scratch was not cleared")
 
 
 @dataclasses.dataclass

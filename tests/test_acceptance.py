@@ -23,6 +23,7 @@ import pytest
 
 from otlab import checks
 from otlab import sinkhorn_lab as sl
+from otlab.logdomain import marginal_error
 from otlab.oracles import DegeneratePlanError, brute_force_ot, monotone_ranks, round_plan
 from otlab.problem import cost_matrix, permutation_instance, sorting_instance
 from otlab.transformer_core import apply_plan, attention_pattern, build_constructed_weights, forward
@@ -91,7 +92,7 @@ def test_c03_checkpoint_convergence(criterion, trace4):
     errs, frobs = [], []
     for k in CHECKPOINTS:
         pattern = trace4.kernel_patterns[k][0]
-        errs.append(sl.marginal_error(pattern))
+        errs.append(marginal_error(pattern))
         frobs.append(float(np.linalg.norm(pattern - ref.plan)))
     # the run reaches the float64 fixed point before checkpoint 300, so the
     # trend is asserted as non-increasing (strictly below machine epsilon
@@ -109,8 +110,8 @@ def test_c03_checkpoint_convergence(criterion, trace4):
 
 
 def test_c04_weight_reuse_across_sizes(criterion, trace4, final_kernel8):
-    eps4 = sl.marginal_error(trace4.kernel_patterns[DEPTH][0])
-    eps8 = sl.marginal_error(final_kernel8)
+    eps4 = marginal_error(trace4.kernel_patterns[DEPTH][0])
+    eps8 = marginal_error(final_kernel8)
     ok = eps4 <= 0.05 / 4 and eps8 <= 0.05 / 8
     assert criterion(4, "weight reuse n=4 and n=8", ok,
                      f"final marginal errors {eps4:.2e} <= 1.25e-02 and {eps8:.2e} <= 6.25e-03 "

@@ -6,10 +6,16 @@ non-convergence.
 """
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otlab
 from otlab.cli import main
 from otlab.io import read_matrix_csv
 
@@ -90,6 +96,31 @@ def test_sort_happy_path(capsys):
 def test_sort_requires_x(capsys):
     assert main(["sort"]) == 1
     assert "--x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sort", "--x", "1e9,0,1"],  # outside the target grid's span [0, 1]
+        ["forward", "--gamma", "1e9"],  # fails the construction's probe check
+        ["gd", "--radius", "1e6"],  # radius-matched stepsize underflows to 0
+    ],
+)
+def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("otlab: ")
+    assert not caught
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, otlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(otlab.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_sort_manifest(tmp_path):

@@ -3,8 +3,7 @@ adaptive-stepsize descent engine.
 
 The frozen scalars were computed by hand from the closed forms: with
 C = [[0]], u = [1], v = [0], lam = 1 the kernel entry is e^{(0+1+0)/1 - 1} = 1;
-with zero duals the n = 1 objective is e^{-1}; a row sum of 1 with gamma = 1
-gives the stepsize 1/(1+1) = 1/2.
+with zero duals the n = 1 objective is e^{-1}.
 """
 
 import math
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 
 from otlab import dual_descent as dd
 from otlab import sinkhorn_lab as sl
+from otlab.logdomain import log_kernel, lse, marginal_error
 from otlab.oracles import finite_diff_grad
 from otlab.problem import ProblemInstance, cost_matrix, permutation_instance
 
@@ -25,10 +25,10 @@ def _dense_kernel(C, u, v, lam):
 
 
 def test_kernel_frozen_value():
-    k = dd.kernel(np.zeros((1, 1)), dd.DualIterate(u=np.array([1.0]), v=np.array([0.0]), step=0), 1.0)
-    np.testing.assert_allclose(k.M, [[1.0]], rtol=1e-15)
-    np.testing.assert_allclose(k.row_sums, [1.0])
-    np.testing.assert_allclose(k.col_sums, [1.0])
+    logM = log_kernel(np.zeros((1, 1)), np.array([1.0]), np.array([0.0]), 1.0)
+    np.testing.assert_allclose(np.exp(logM), [[1.0]], rtol=1e-15)
+    np.testing.assert_allclose(np.exp(lse(logM, axis=1)), [1.0])
+    np.testing.assert_allclose(np.exp(lse(logM, axis=0)), [1.0])
 
 
 def test_objective_frozen_value():
@@ -41,13 +41,6 @@ def test_gradient_frozen_value():
     gu, gv = dd.gradients(np.zeros((1, 1)), it, 1.0)
     assert gu[0] == pytest.approx(math.exp(-1) - 1.0, rel=1e-14)
     assert gv[0] == pytest.approx(math.exp(-1) - 1.0, rel=1e-14)
-
-
-def test_adaptive_stepsizes_frozen_value():
-    k = dd.kernel(np.zeros((1, 1)), dd.DualIterate(u=np.array([1.0]), v=np.array([0.0]), step=0), 1.0)
-    du, dv = dd.adaptive_stepsizes(k, gamma=1.0)
-    np.testing.assert_allclose(du, [0.5])
-    np.testing.assert_allclose(dv, [0.5])
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,6 +118,8 @@ def test_schedule_rejects_bad_parameters():
         dd.StepsizeSchedule.fixed(0.0)
     with pytest.raises(ValueError):
         dd.StepsizeSchedule.from_radius(-1.0)
+    with pytest.raises(ValueError):  # e^{-2r/lam} underflows to 0
+        dd.StepsizeSchedule.from_radius(1e6).resolve(4, 0.005)
 
 
 def test_smoothness_bound_frozen_value():
@@ -196,8 +191,9 @@ def test_trajectory_bookkeeping():
     assert traj.radius == pytest.approx(max(np.linalg.norm(i.theta) for i in traj.iterates))
     np.testing.assert_array_equal(traj.iterates[0].theta, np.zeros(6))
     # recorded diagnostics match recomputation at a middle iterate
-    k = dd.kernel(C, traj.iterates[7], 0.8)
-    assert traj.marginal_errors[7] == pytest.approx(dd.marginal_error(k), rel=1e-12)
+    it = traj.iterates[7]
+    M = np.exp(log_kernel(C, it.u, it.v, 0.8))
+    assert traj.marginal_errors[7] == pytest.approx(marginal_error(M), rel=1e-12)
     assert traj.objectives[7] == pytest.approx(dd.dual_objective(C, traj.iterates[7], 0.8), rel=1e-12)
 
 
@@ -236,10 +232,3 @@ def test_trajectory_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(data[:, 3], traj.objectives)
     np.testing.assert_array_equal(data[:, 4], traj.marginal_errors)
 
-
-def test_marginal_error_agrees_with_matrix_form():
-    rng = np.random.default_rng(8)
-    C = rng.uniform(0, 1, (4, 4))
-    it = dd.DualIterate(u=rng.normal(0, 0.3, 4), v=rng.normal(0, 0.3, 4), step=0)
-    k = dd.kernel(C, it, 0.6)
-    assert dd.marginal_error(k) == pytest.approx(sl.marginal_error(k.M), rel=1e-12)

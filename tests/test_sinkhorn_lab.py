@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
-from otlab import dual_descent as dd
 from otlab import sinkhorn_lab as sl
+from otlab.logdomain import log_kernel, lse, marginal_error
 from otlab.problem import cost_matrix, permutation_instance, sorting_instance
 
 positive_vectors = st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=6).map(np.array)
@@ -66,13 +67,11 @@ def test_normalizers_reject_degenerate_sums():
 def test_marginal_error_and_membership():
     n = 4
     A = np.full((n, n), 1.0 / n**2)
-    assert sl.marginal_error(A) == 0.0
+    assert marginal_error(A) == 0.0
     B = sl.boundary_member(n, 0.01)
-    assert sl.marginal_error(B) == pytest.approx(0.01, rel=1e-12)
-    # the membership test is strict, so sit a hair above the rounded boundary
-    ok, achieved = sl.marginal_membership(B, 0.01 * (1 + 1e-9))
-    assert ok and achieved == pytest.approx(0.01, rel=1e-12)
-    assert not sl.marginal_membership(B, 0.009)[0]
+    assert marginal_error(B) == pytest.approx(0.01, rel=1e-12)
+    with pytest.raises(ValueError):
+        marginal_error(np.ones((2, 3)))
 
 
 def test_hilbert_metric_frozen_values():
@@ -171,6 +170,41 @@ def test_sinkhorn_budget_exhaustion_raises_with_progress():
     assert 0.0 < exc.value.eps_star < 1.0
 
 
+def _reference_solve(gk, tol):
+    """Reference loop: scipy's logsumexp, and the plan exponentiated and
+    checked densely after every sweep."""
+    n = gk.n
+    logw = np.zeros(n)
+    for sweep in range(1, 100_001):
+        logq = -(np.log(n) + logsumexp(gk.logQ + logw[:, None], axis=0))
+        logw = -(np.log(n) + logsumexp(gk.logQ + logq[None, :], axis=1))
+        P = np.exp(gk.logQ + logw[:, None] + logq[None, :])
+        if marginal_error(P) <= tol:
+            return sweep, P
+    raise AssertionError("reference loop did not converge")
+
+
+@pytest.mark.parametrize(
+    "n, seed, lam, tol",
+    [(n, seed, 0.005, 1e-9) for n in range(2, 9) for seed in range(3)] + [(5, 3, 0.5, 1e-13)],
+)
+def test_sinkhorn_solve_matches_reference_loop(n, seed, lam, tol):
+    gk = sl.gibbs_kernel(cost_matrix(permutation_instance(n, seed, lam)), lam)
+    sweeps, plan = _reference_solve(gk, tol)
+    res = sl.sinkhorn_solve(gk, tol=tol)
+    assert res.sweeps == sweeps
+    assert np.abs(res.plan - plan).max() <= 1e-15
+    assert res.eps_star == marginal_error(res.plan) <= tol
+
+
+def test_lse_matches_scipy_logsumexp():
+    rng = np.random.default_rng(12)
+    a = rng.uniform(-1e4, 0.0, (6, 5))
+    a[2] = -1e4 + rng.uniform(0.0, 1.0, 5)  # every exp(a) in this row underflows to 0
+    for axis in (0, 1):
+        np.testing.assert_allclose(lse(a, axis), logsumexp(a, axis=axis), rtol=1e-15, atol=0)
+
+
 def test_dual_lift_round_trip():
     rng = np.random.default_rng(7)
     lam = 0.3
@@ -188,8 +222,7 @@ def test_scaled_log_plan_is_descent_kernel():
     u, v = rng.normal(0, 0.2, 3), rng.normal(0, 0.2, 3)
     gk = sl.gibbs_kernel(C, lam)
     logP = sl.scaled_log_plan(gk, sl.scaling_from_duals(u, v, lam))
-    k = dd.kernel(C, dd.DualIterate(u=u, v=v, step=0), lam)
-    np.testing.assert_allclose(logP, k.logM, atol=1e-12)
+    np.testing.assert_allclose(logP, log_kernel(C, u, v, lam), atol=1e-12)
 
 
 def test_gauge_fixed_preserves_plan():
@@ -227,7 +260,7 @@ def test_random_near_scaled_respects_cap():
         cap = 1.0 / (3 * n) * 0.9
         A, eps = sl.random_near_scaled(rng, n, cap)
         assert np.all(A > 0)
-        assert eps == pytest.approx(sl.marginal_error(A), rel=1e-12)
+        assert eps == pytest.approx(marginal_error(A), rel=1e-12)
         assert eps <= cap
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from otlab import dual_descent as dd
+from otlab.logdomain import log_kernel
 from otlab.problem import ProblemInstance, cost_matrix, permutation_instance
 from otlab.prompt import build_prompt
 from otlab.transformer_core import (
@@ -117,7 +118,7 @@ def test_raw_kernel_pattern_is_dual_kernel():
     C = cost_matrix(inst)
     for ell in (0, 5, 12):
         u, v = trace.duals(ell)
-        M = dd.kernel(C, dd.DualIterate(u=u, v=v, step=ell), 0.3).M
+        M = np.exp(log_kernel(C, u, v, 0.3))
         np.testing.assert_allclose(trace.kernel_patterns[ell][0], M, rtol=1e-10, atol=1e-13)
         np.testing.assert_allclose(trace.kernel_patterns[ell][1], M.T, rtol=1e-10, atol=1e-13)
 
