@@ -86,7 +86,7 @@ def check_gd_equivalence(
                     rng = np.random.default_rng((seed, n, d, int(lam * 1000)))
                     inst = _random_instance(rng, n, d, lam)
                     C = cost_matrix(inst)
-                    trace = forward(inst, depth, weights=cache[key], record_patterns=False)
+                    trace = forward(inst, depth, weights=cache[key])
                     it = dd.zero_iterate(n)
                     for ell in range(1, depth + 1):
                         it = dd.gd_step(C, it, lam, gamma)

@@ -2,7 +2,7 @@
 engines, the sorting demo, and the verification suites.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 solver
-non-convergence.
+non-convergence, including a run that overflows.
 """
 
 from __future__ import annotations
@@ -154,7 +154,12 @@ def _cmd_forward(args: argparse.Namespace) -> int:
         prefix = "" if len(ns) == 1 else f"n{n}_"
         per_layer = {}
         for k in marks:
-            pattern = trace.kernel_patterns[k][0]
+            try:
+                with np.errstate(over="raise"):
+                    pattern = attention_pattern(trace.states[k], weights.heads[0], "raw_kernel")
+            except FloatingPointError:
+                print(f"n={n}: attention kernel overflows at layer {k}; the run diverged", file=sys.stderr)
+                return EXIT_NO_CONVERGENCE
             per_layer[str(k)] = {
                 "eps_star": marginal_error(pattern),
                 "frobenius_to_fixed_point": float(np.linalg.norm(pattern - ref.plan)),
@@ -193,7 +198,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     x = np.array(_as_float_list(cfg["x"]))
     lam, gamma, depth = _as_float(cfg["lambda"]), _as_float(cfg["gamma"]), _as_int(cfg["depth"])
     inst = sorting_instance(x, lam)
-    trace = forward(inst, depth, schedule=dd.StepsizeSchedule.fixed(gamma), record_patterns=False)
+    trace = forward(inst, depth, schedule=dd.StepsizeSchedule.fixed(gamma))
     # head 2's kernel block is the transposed plan, whose barycentric image of
     # x lands each rank at its sorted position
     plan_t = attention_pattern(trace.states[-1], trace.weights.heads[1], "raw_kernel")
@@ -230,7 +235,12 @@ def _cmd_gd(args: argparse.Namespace) -> int:
         else dd.StepsizeSchedule.fixed(_as_float(cfg["gamma"]))
     )
     inst = _instance(n, d, seed, lam)
-    traj = dd.gd_run(cost_matrix(inst), lam, depth, schedule)
+    try:
+        with np.errstate(over="raise"):
+            traj = dd.gd_run(cost_matrix(inst), lam, depth, schedule)
+    except FloatingPointError:
+        print(f"n={n}: descent overflows within {depth} steps; the run diverged", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     final = float(traj.marginal_errors[-1])
     print(
         f"n={n} depth={depth} gamma={traj.gamma:.6g}: final marginal error {final:.3e}, "

@@ -205,20 +205,17 @@ def _probe_check(weights: LayerWeights) -> None:
 
 @dataclasses.dataclass
 class ForwardTrace:
-    """States and attention patterns of a full forward pass.
-
-    states[ell] holds the duals after exactly ell descent steps; pattern entry
-    ell is computed at states[ell] (so entry 0 describes the fresh prompt).
+    """Hidden states of a full forward pass: states[ell] holds the duals after
+    exactly ell descent steps. A layer's plan is read from its state with
+    `attention_pattern(states[ell], head, variant)`.
     """
 
     states: list[HiddenState]
-    softmax_patterns: list[tuple[np.ndarray, np.ndarray]] | None
-    kernel_patterns: list[tuple[np.ndarray, np.ndarray]] | None
     weights: LayerWeights
-
-    @property
-    def depth(self) -> int:
-        return len(self.states) - 1
+    # No patterns are kept. bench/ still reads these two names and passes
+    # forward's pattern flag as False; the next benchmark change drops both.
+    softmax_patterns = None
+    kernel_patterns = None
 
     def duals(self, ell: int) -> tuple[np.ndarray, np.ndarray]:
         return read_dual(self.states[ell])
@@ -229,13 +226,15 @@ def forward(
     depth: int,
     schedule: dd.StepsizeSchedule | None = None,
     weights: LayerWeights | None = None,
-    record_patterns: bool = True,
+    record_patterns: bool = False,
 ) -> ForwardTrace:
     """Run `depth` constructed layers on the instance's prompt.
 
     Weights are built from the schedule when not supplied; a supplied set is
     reused as-is (it is n-independent by construction).
     """
+    if record_patterns:
+        raise ValueError("forward keeps states only; read patterns with attention_pattern")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if weights is None:
@@ -243,22 +242,10 @@ def forward(
             raise ValueError("need either a schedule or explicit weights")
         weights = build_constructed_weights(inst.d, inst.lam, schedule.resolve(inst.n, inst.lam))
 
-    state = build_prompt(inst)
-    states = [state]
-    soft = [] if record_patterns else None
-    kern = [] if record_patterns else None
-
-    def record(s: HiddenState):
-        if record_patterns:
-            soft.append(tuple(attention_pattern(s, h, "softmax") for h in weights.heads))
-            kern.append(tuple(attention_pattern(s, h, "raw_kernel") for h in weights.heads))
-
-    record(state)
+    states = [build_prompt(inst)]
     for _ in range(depth):
-        state = layer_forward(state, weights)
-        states.append(state)
-        record(state)
-    return ForwardTrace(states=states, softmax_patterns=soft, kernel_patterns=kern, weights=weights)
+        states.append(layer_forward(states[-1], weights))
+    return ForwardTrace(states=states, weights=weights)
 
 
 def apply_plan(pattern: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -43,11 +43,14 @@ def trace4(shared_weights):
     return forward(permutation_instance(4, 0, LAM), DEPTH, weights=shared_weights)
 
 
+def _kernel(trace, ell):
+    # head 1's kernel block at layer ell: the plan the forward pass holds there
+    return attention_pattern(trace.states[ell], trace.weights.heads[0], "raw_kernel")
+
+
 @pytest.fixture(scope="module")
 def final_kernel8(shared_weights):
-    trace = forward(permutation_instance(8, 0, LAM), DEPTH, weights=shared_weights,
-                    record_patterns=False)
-    return attention_pattern(trace.states[-1], shared_weights.heads[0], "raw_kernel")
+    return _kernel(forward(permutation_instance(8, 0, LAM), DEPTH, weights=shared_weights), DEPTH)
 
 
 def test_c01_layerwise_equivalence(criterion):
@@ -62,8 +65,7 @@ def test_c01_layerwise_equivalence(criterion):
 
 
 def _sorted_estimate(values, weights):
-    trace = forward(sorting_instance(values, LAM), DEPTH, weights=weights,
-                    record_patterns=False)
+    trace = forward(sorting_instance(values, LAM), DEPTH, weights=weights)
     pattern = attention_pattern(trace.states[-1], weights.heads[1], "raw_kernel")
     return apply_plan(pattern, np.asarray(values, dtype=float))
 
@@ -91,7 +93,7 @@ def test_c03_checkpoint_convergence(criterion, trace4):
     ref = sl.sinkhorn_solve(sl.gibbs_kernel(cost_matrix(inst), LAM), tol=1e-8)
     errs, frobs = [], []
     for k in CHECKPOINTS:
-        pattern = trace4.kernel_patterns[k][0]
+        pattern = _kernel(trace4, k)
         errs.append(marginal_error(pattern))
         frobs.append(float(np.linalg.norm(pattern - ref.plan)))
     # the run reaches the float64 fixed point before checkpoint 300, so the
@@ -110,7 +112,7 @@ def test_c03_checkpoint_convergence(criterion, trace4):
 
 
 def test_c04_weight_reuse_across_sizes(criterion, trace4, final_kernel8):
-    eps4 = marginal_error(trace4.kernel_patterns[DEPTH][0])
+    eps4 = marginal_error(_kernel(trace4, DEPTH))
     eps8 = marginal_error(final_kernel8)
     ok = eps4 <= 0.05 / 4 and eps8 <= 0.05 / 8
     assert criterion(4, "weight reuse n=4 and n=8", ok,
@@ -184,7 +186,7 @@ def test_c11_gradient_correctness(criterion):
 def test_c12_rank_non_collapse(criterion, trace4, final_kernel8):
     details = []
     ok = True
-    for label, pattern in (("n=4", trace4.kernel_patterns[DEPTH][0]), ("n=8", final_kernel8)):
+    for label, pattern in (("n=4", _kernel(trace4, DEPTH)), ("n=8", final_kernel8)):
         sv = np.linalg.svd(pattern, compute_uv=False)
         ratio = float(sv[-1] / sv[0])
         ok &= ratio > 1e-6

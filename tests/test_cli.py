@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,8 +17,11 @@ import numpy as np
 import pytest
 
 import otlab
+from otlab import cli
+from otlab import transformer_core as tc
 from otlab.cli import main
 from otlab.io import read_matrix_csv
+from otlab.problem import permutation_instance
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -55,9 +59,41 @@ def test_forward_writes_expected_artifacts(tmp_path, capsys):
     per_layer = manifest["metrics"]["per_n"]["4"]
     errs = [per_layer[k]["eps_star"] for k in ("1", "30", "60")]
     assert errs[0] > errs[-1] > 0  # convergence trend visible in metrics
-    A = read_matrix_csv(out / "A_0060.csv")
-    assert A.shape == (4, 4)
     assert "marginal error" in capsys.readouterr().out
+    # each export is head 1's kernel block read from that layer's state
+    w = tc.build_constructed_weights(1, 0.005, 0.01)
+    trace = tc.forward(permutation_instance(4, 0, 0.005), 60, weights=w)
+    for k in (1, 30, 60):
+        A = read_matrix_csv(out / f"A_{k:04d}.csv")
+        assert A.shape == (4, 4)
+        np.testing.assert_array_equal(A, tc.attention_pattern(trace.states[k], w.heads[0], "raw_kernel"))
+
+
+def test_forward_computes_only_the_exported_patterns(monkeypatch):
+    calls = []
+    real = tc.attention_pattern
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tc, "attention_pattern", counted)
+    monkeypatch.setattr(cli, "attention_pattern", counted)
+    assert main(["forward", "--n", "4", "--depth", "60", "--checkpoints", "1,30,60"]) == 0
+    assert len(calls) == 3
+
+
+def test_forward_keeps_states_only(capsys):
+    tracemalloc.start()
+    try:
+        assert main(["forward", "--n", "64", "--depth", "2000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    with pytest.raises(ValueError):
+        tc.forward(permutation_instance(3, 0, 0.5), 2, weights=tc.build_constructed_weights(1, 0.5, 0.1),
+                   record_patterns=True)
 
 
 def test_forward_multi_n_prefixes_files(tmp_path):
@@ -113,6 +149,24 @@ def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("otlab: ")
     assert not caught
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forward", "--lambda", "1e-6", "--depth", "50", "--checkpoints", "2,50"],  # kernel overflows
+        ["gd", "--gamma", "1e9", "--depth", "50"],  # descent diverges
+    ],
+)
+def test_diverged_run_exits_3_with_one_line(argv, tmp_path, capsys):
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "diverged" in err
+    assert not caught
+    assert not out.exists() or not any(out.iterdir())  # nothing exported from the diverged run
 
 
 def test_cli_import_loads_no_scipy():

@@ -83,7 +83,7 @@ def test_forward_tracks_oracle_at_every_prefix():
 
 def test_aux_row_scratch_is_bit_exact_zero():
     inst = permutation_instance(6, 1, 0.05)
-    trace = forward(inst, 40, schedule=dd.StepsizeSchedule.fixed(0.02), record_patterns=False)
+    trace = forward(inst, 40, schedule=dd.StepsizeSchedule.fixed(0.02))
     lay = trace.states[0].layout
     for state in trace.states:
         assert state.Z[6, lay.u] == 0.0
@@ -92,7 +92,7 @@ def test_aux_row_scratch_is_bit_exact_zero():
 
 def test_static_prompt_columns_never_move():
     inst = permutation_instance(3, 5, 0.5)
-    trace = forward(inst, 30, schedule=dd.StepsizeSchedule.fixed(0.1), record_patterns=False)
+    trace = forward(inst, 30, schedule=dd.StepsizeSchedule.fixed(0.1))
     first, last = trace.states[0].Z, trace.states[-1].Z
     lay = trace.states[0].layout
     static = [lay.xsq, lay.ysq, lay.marker, lay.spare, *lay.ones]
@@ -107,7 +107,7 @@ def test_flipped_value_sign_breaks_equivalence():
     w = build_constructed_weights(1, 0.5, 0.1)
     h1, h2 = w.heads
     bad = dataclasses.replace(w, heads=(AttentionHead(Q=h1.Q, Wv=-h1.Wv), h2))
-    trace = forward(inst, 3, weights=bad, record_patterns=False)
+    trace = forward(inst, 3, weights=bad)
     oracle = _oracle_duals(inst, 3, 0.1)
     assert np.abs(trace.duals(3)[0] - oracle[3].u).max() > 1e-3
 
@@ -119,14 +119,15 @@ def test_raw_kernel_pattern_is_dual_kernel():
     for ell in (0, 5, 12):
         u, v = trace.duals(ell)
         M = np.exp(log_kernel(C, u, v, 0.3))
-        np.testing.assert_allclose(trace.kernel_patterns[ell][0], M, rtol=1e-10, atol=1e-13)
-        np.testing.assert_allclose(trace.kernel_patterns[ell][1], M.T, rtol=1e-10, atol=1e-13)
+        K1, K2 = (attention_pattern(trace.states[ell], h, "raw_kernel") for h in trace.weights.heads)
+        np.testing.assert_allclose(K1, M, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(K2, M.T, rtol=1e-10, atol=1e-13)
 
 
 def test_softmax_pattern_rows_are_distributions():
     inst = permutation_instance(4, 1, 0.5)
     trace = forward(inst, 4, schedule=dd.StepsizeSchedule.fixed(0.1))
-    A = trace.softmax_patterns[2][0]
+    A = attention_pattern(trace.states[2], trace.weights.heads[0], "softmax")
     assert A.shape == (5, 5)  # softmax runs over all n+1 tokens
     assert np.all(A > 0)
     np.testing.assert_allclose(A.sum(axis=1), 1.0, rtol=1e-12)
@@ -149,9 +150,9 @@ def test_attention_pattern_variants_disagree():
 
 def test_default_forward_uses_constructed_weights():
     inst = permutation_instance(3, 4, 0.7)
-    a = forward(inst, 5, schedule=dd.StepsizeSchedule.fixed(0.1), record_patterns=False)
+    a = forward(inst, 5, schedule=dd.StepsizeSchedule.fixed(0.1))
     w = build_constructed_weights(1, 0.7, 0.1)
-    b = forward(inst, 5, weights=w, record_patterns=False)
+    b = forward(inst, 5, weights=w)
     np.testing.assert_array_equal(a.states[-1].Z, b.states[-1].Z)
 
 
@@ -188,14 +189,14 @@ def test_weights_json_round_trip(tmp_path):
     np.testing.assert_array_equal(w.Wf, back.Wf)
     # loaded weights drive an identical forward pass
     inst = ProblemInstance(x=[[0.1, 0.9], [0.8, 0.2]], y=[[0.2, 0.8], [0.9, 0.1]], lam=0.05)
-    za = forward(inst, 6, weights=w, record_patterns=False).states[-1].Z
-    zb = forward(inst, 6, weights=back, record_patterns=False).states[-1].Z
+    za = forward(inst, 6, weights=w).states[-1].Z
+    zb = forward(inst, 6, weights=back).states[-1].Z
     np.testing.assert_array_equal(za, zb)
 
 
 def test_equivalence_survives_tiny_lam_deep_run():
     inst = permutation_instance(4, 2, 0.005)
-    trace = forward(inst, 200, schedule=dd.StepsizeSchedule.fixed(0.01), record_patterns=False)
+    trace = forward(inst, 200, schedule=dd.StepsizeSchedule.fixed(0.01))
     oracle = _oracle_duals(inst, 200, 0.01)
     u, v = trace.duals(200)
     assert np.abs(np.concatenate([u - oracle[200].u, v - oracle[200].v])).max() < 1e-10
