@@ -163,7 +163,7 @@ def check_contraction(instances: int = 20, sweeps: int = 25, slack: float = 1e-9
         inst = permutation_instance(n, int(rng.integers(0, 2**32)), lam)
         gk = sl.gibbs_kernel(cost_matrix(inst), lam)
         eta = sl.contraction_factor(gk)
-        hist = sl.contraction_history(gk, sweeps=sweeps, reference=sl.sinkhorn_solve(gk, tol=1e-13).scaling)
+        hist = sl.contraction_history(gk, sweeps=sweeps, reference=sl.sinkhorn_solve(gk, tol=1e-13))
         mu = hist["mu_w"]
         for m in range(len(mu) - 1):
             if mu[m] < 1e-12:
@@ -178,21 +178,6 @@ def check_contraction(instances: int = 20, sweeps: int = 25, slack: float = 1e-9
     )
 
 
-def _reference_duals(C: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, "sl.GibbsKernel"]:
-    """Fixed-point duals in the norm-minimizing gauge.
-
-    The dual optimum is only defined up to (u+c, v-c); the Hilbert-metric
-    checks are gauge-invariant but the confinement radius is not, and the
-    radius-matched stepsize is exponentially sensitive to it, so the balanced
-    gauge is the meaningful one.
-    """
-    gk = sl.gibbs_kernel(C, lam)
-    ref = sl.sinkhorn_solve(gk, tol=1e-13)
-    u, v = sl.dual_lift(ref.scaling, lam)
-    c = (v.mean() - u.mean()) / 2.0
-    return u + c, v - c, gk
-
-
 def _confined_run(C: np.ndarray, lam: float, r_init: float, depth_for_r) -> tuple[dd.Trajectory, float, int, bool]:
     """Run with the radius-matched stepsize and verify the iterates actually
     stay inside the ball the stepsize was derived for, growing the radius
@@ -200,7 +185,7 @@ def _confined_run(C: np.ndarray, lam: float, r_init: float, depth_for_r) -> tupl
     r = r_init
     for _ in range(7):
         depth = depth_for_r(r)
-        traj = dd.gd_run(C, lam, depth, dd.StepsizeSchedule.from_radius(r))
+        traj = dd.gd_run(C, lam, depth, dd.radius_stepsize(C.shape[0], r, lam))
         if traj.radius <= r:
             return traj, r, depth, True
         r = max(2.0 * r, 1.1 * traj.radius)
@@ -213,8 +198,8 @@ def check_stationarity(n: int = 3, lam: float = 1.0, depth: int = 5000, seed: in
     its smallest gradient must respect the descent bound."""
     inst = permutation_instance(n, seed, lam)
     C = cost_matrix(inst)
-    ustar, vstar, _ = _reference_duals(C, lam)
-    r_init = max(1.1 * float(np.linalg.norm(np.concatenate([ustar, vstar]))), 0.2)
+    ref = sl.sinkhorn_solve(sl.gibbs_kernel(C, lam), tol=1e-13)
+    r_init = max(1.1 * float(np.linalg.norm(np.concatenate([ref.u, ref.v]))), 0.2)
     traj, r, _, confined = _confined_run(C, lam, r_init, lambda _: depth)
     # bounds are stated for the ball the iterates actually visited
     eps_pred = dd.best_marginal_eps(n, traj.radius, lam, depth)
@@ -249,8 +234,9 @@ def check_depth_bound(n: int = 2, lam: float = 1.0, seed: int = 0) -> CheckResul
     fixed point against the bound."""
     inst = permutation_instance(n, seed, lam)
     C = cost_matrix(inst)
-    ustar, vstar, gk = _reference_duals(C, lam)
-    r_init = max(1.1 * float(np.linalg.norm(np.concatenate([ustar, vstar]))), 0.2)
+    gk = sl.gibbs_kernel(C, lam)
+    ref = sl.sinkhorn_solve(gk, tol=1e-13)
+    r_init = max(1.1 * float(np.linalg.norm(np.concatenate([ref.u, ref.v]))), 0.2)
 
     def depth_for_r(r: float) -> int:
         return math.ceil(64.0 * n**3 * math.exp(3.0 * r / lam) * r) + 1
@@ -262,8 +248,8 @@ def check_depth_bound(n: int = 2, lam: float = 1.0, seed: int = 0) -> CheckResul
     # depth was sized for the confirmed radius, so the (monotone) precondition
     # holds a fortiori at the realized one
     bound = sl.scaling_convergence_bound(n, traj.radius, lam, eta, depth)
-    mu_w = sl.hilbert_metric_logs(it.u / lam, ustar / lam)
-    mu_q = sl.hilbert_metric_logs(it.v / lam, vstar / lam)
+    mu_w = sl.hilbert_metric_logs(it.u / lam, ref.u / lam)
+    mu_q = sl.hilbert_metric_logs(it.v / lam, ref.v / lam)
     achieved = max(mu_w, mu_q)
     return CheckResult(
         name="depth_bound",

@@ -18,10 +18,11 @@ from . import __version__, checks
 from . import dual_descent as dd
 from . import io as otio
 from . import sinkhorn_lab as sl
-from .logdomain import marginal_error
+from .logdomain import log_kernel, marginal_error
 from .oracles import sort_oracle
 from .problem import ProblemInstance, cost_matrix, permutation_instance, sorting_instance
 from .transformer_core import (
+    ForwardTrace,
     apply_plan,
     attention_pattern,
     build_constructed_weights,
@@ -116,6 +117,24 @@ def _manifest(out: Path, command: str, cfg: dict, metrics: dict, outputs: list[s
     )
 
 
+def _first_overflowing_layer(trace: ForwardTrace, C: np.ndarray, lam: float) -> int | None:
+    """First layer whose largest kernel logit (u_i + v_j - C_ij)/lam - 1
+    exceeds log of the largest float, i.e. whose plan overflows; None if none.
+
+    The O(n) bound (max u + max v - min C)/lam - 1 clears almost every layer,
+    so the n^2 logits are formed only for the layers it does not clear.
+    """
+    log_max = float(np.log(np.finfo(float).max))
+    c_min = C.min()
+    for ell in range(len(trace.states)):
+        u, v = trace.duals(ell)
+        if (u.max() + v.max() - c_min) / lam - 1.0 <= log_max:
+            continue
+        if not log_kernel(C, u, v, lam).max() <= log_max:  # also catches NaN duals
+            return ell
+    return None
+
+
 def _cmd_forward(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _resolve(args, {
@@ -142,24 +161,24 @@ def _cmd_forward(args: argparse.Namespace) -> int:
 
     for n in ns:
         inst = _instance(n, d, seed, lam)
+        C = cost_matrix(inst)
         trace = forward(inst, depth, weights=weights)
+        bad = _first_overflowing_layer(trace, C, lam)
+        if bad is not None:
+            print(f"n={n}: attention kernel overflows at layer {bad}; the run diverged", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
         # near-deterministic plans (tiny lam) contract too slowly for a
         # 1e-12 reference; 1e-8 marginals already give ~1e-7 plan accuracy
         tol_ref = 1e-12 if lam >= 0.05 else 1e-8
         try:
-            ref = sl.sinkhorn_solve(sl.gibbs_kernel(cost_matrix(inst), lam), tol=tol_ref)
+            ref = sl.sinkhorn_solve(sl.gibbs_kernel(C, lam), tol=tol_ref)
         except sl.SinkhornError as exc:
             print(f"reference scaling did not converge: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         prefix = "" if len(ns) == 1 else f"n{n}_"
         per_layer = {}
         for k in marks:
-            try:
-                with np.errstate(over="raise"):
-                    pattern = attention_pattern(trace.states[k], weights.heads[0], "raw_kernel")
-            except FloatingPointError:
-                print(f"n={n}: attention kernel overflows at layer {k}; the run diverged", file=sys.stderr)
-                return EXIT_NO_CONVERGENCE
+            pattern = attention_pattern(trace.states[k], weights.heads[0], "raw_kernel")
             per_layer[str(k)] = {
                 "eps_star": marginal_error(pattern),
                 "frobenius_to_fixed_point": float(np.linalg.norm(pattern - ref.plan)),
@@ -198,7 +217,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     x = np.array(_as_float_list(cfg["x"]))
     lam, gamma, depth = _as_float(cfg["lambda"]), _as_float(cfg["gamma"]), _as_int(cfg["depth"])
     inst = sorting_instance(x, lam)
-    trace = forward(inst, depth, schedule=dd.StepsizeSchedule.fixed(gamma))
+    trace = forward(inst, depth, weights=build_constructed_weights(inst.d, lam, gamma))
     # head 2's kernel block is the transposed plan, whose barycentric image of
     # x lands each rank at its sorted position
     plan_t = attention_pattern(trace.states[-1], trace.weights.heads[1], "raw_kernel")
@@ -229,15 +248,15 @@ def _cmd_gd(args: argparse.Namespace) -> int:
     })
     n, d, lam = _as_int(cfg["n"]), _as_int(cfg["d"]), _as_float(cfg["lambda"])
     depth, seed = _as_int(cfg["depth"]), _as_int(cfg["seed"])
-    schedule = (
-        dd.StepsizeSchedule.from_radius(_as_float(cfg["radius"]))
+    gamma = (
+        dd.radius_stepsize(n, _as_float(cfg["radius"]), lam)
         if cfg["radius"] is not None
-        else dd.StepsizeSchedule.fixed(_as_float(cfg["gamma"]))
+        else _as_float(cfg["gamma"])
     )
     inst = _instance(n, d, seed, lam)
     try:
         with np.errstate(over="raise"):
-            traj = dd.gd_run(cost_matrix(inst), lam, depth, schedule)
+            traj = dd.gd_run(cost_matrix(inst), lam, depth, gamma)
     except FloatingPointError:
         print(f"n={n}: descent overflows within {depth} steps; the run diverged", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -47,17 +47,24 @@ def zero_iterate(n: int) -> DualIterate:
     return DualIterate(u=np.zeros(n), v=np.zeros(n), step=0)
 
 
+def _log_sums(C: np.ndarray, it: DualIterate, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """log M 1 and log M^T 1 at the iterate: one kernel pass serves a step
+    and everything recorded about it."""
+    logM = log_kernel(C, it.u, it.v, lam)
+    return lse(logM, axis=1), lse(logM, axis=0)
+
+
 def dual_objective(C: np.ndarray, it: DualIterate, lam: float) -> float:
     n = C.shape[0]
-    total = np.exp(lse(log_kernel(C, it.u, it.v, lam).ravel(), axis=0))
-    return lam * total - (it.u.sum() + it.v.sum()) / n
+    log_rs, _ = _log_sums(C, it, lam)
+    return lam * np.exp(lse(log_rs, axis=0)) - (it.u.sum() + it.v.sum()) / n
 
 
 def gradients(C: np.ndarray, it: DualIterate, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Marginal defects (M 1 - 1/n, M^T 1 - 1/n) of the kernel at the iterate."""
     n = C.shape[0]
-    logM = log_kernel(C, it.u, it.v, lam)
-    return np.exp(lse(logM, axis=1)) - 1.0 / n, np.exp(lse(logM, axis=0)) - 1.0 / n
+    log_rs, log_cs = _log_sums(C, it, lam)
+    return np.exp(log_rs) - 1.0 / n, np.exp(log_cs) - 1.0 / n
 
 
 def _step_ratio(log_s: np.ndarray, n: int) -> np.ndarray:
@@ -71,50 +78,28 @@ def _step_ratio(log_s: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def gd_step(C: np.ndarray, it: DualIterate, lam: float, gamma: float) -> DualIterate:
-    """One preconditioned descent step; both blocks read the same iterate."""
-    n = C.shape[0]
-    logM = log_kernel(C, it.u, it.v, lam)
-    u = it.u - gamma * _step_ratio(lse(logM, axis=1), n)
-    v = it.v - gamma * _step_ratio(lse(logM, axis=0), n)
+def _stepped(it: DualIterate, log_rs: np.ndarray, log_cs: np.ndarray, gamma: float) -> DualIterate:
+    n = it.u.shape[0]
+    u = it.u - gamma * _step_ratio(log_rs, n)
+    v = it.v - gamma * _step_ratio(log_cs, n)
     return DualIterate(u=u, v=v, step=it.step + 1)
 
 
-@dataclasses.dataclass(frozen=True)
-class StepsizeSchedule:
-    """Constant stepsize, either given directly or derived from a radius bound.
+def gd_step(C: np.ndarray, it: DualIterate, lam: float, gamma: float) -> DualIterate:
+    """One preconditioned descent step; both blocks read the same iterate."""
+    return _stepped(it, *_log_sums(C, it, lam), gamma)
 
-    mode "fixed" uses gamma as-is. mode "radius" sets
-    gamma = exp(-2 r / lam) / (n + 2), the inverse of the smoothness constant
-    on the ball of radius r, which guarantees monotone descent there.
-    """
 
-    mode: str
-    gamma: float = 0.0
-    r: float = 0.0
-
-    @staticmethod
-    def fixed(gamma: float) -> "StepsizeSchedule":
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
-        return StepsizeSchedule(mode="fixed", gamma=gamma)
-
-    @staticmethod
-    def from_radius(r: float) -> "StepsizeSchedule":
-        if not r >= 0:
-            raise ValueError("radius must be nonnegative")
-        return StepsizeSchedule(mode="radius", r=r)
-
-    def resolve(self, n: int, lam: float) -> float:
-        if self.mode == "fixed":
-            return self.gamma
-        if self.mode == "radius":
-            # 1/smoothness_bound without forming e^{2r/lam}, which overflows first
-            gamma = math.exp(-2.0 * self.r / lam) / (n + 2)
-            if not 0.0 < gamma < math.inf:
-                raise ValueError(f"radius {self.r} at lambda {lam} gives a stepsize of {gamma}")
-            return gamma
-        raise ValueError(f"unknown schedule mode {self.mode!r}")
+def radius_stepsize(n: int, r: float, lam: float) -> float:
+    """gamma = exp(-2 r / lam) / (n + 2), the inverse of the smoothness
+    constant on the ball of radius r, which guarantees monotone descent there."""
+    if not r >= 0:
+        raise ValueError("radius must be nonnegative")
+    # 1/smoothness_bound without forming e^{2r/lam}, which overflows first
+    gamma = math.exp(-2.0 * r / lam) / (n + 2)
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"radius {r} at lambda {lam} gives a stepsize of {gamma}")
+    return gamma
 
 
 @dataclasses.dataclass
@@ -137,26 +122,29 @@ def gd_run(
     C: np.ndarray,
     lam: float,
     depth: int,
-    schedule: StepsizeSchedule,
+    gamma: float,
     reference: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Trajectory:
-    """Run `depth` steps from zero duals, recording per-step diagnostics.
+    """Run `depth` steps of stepsize `gamma` from zero duals, recording
+    per-step diagnostics.
 
     If `reference` duals (u*, v*) are given, also records
     Delta_k = ||theta_k - theta*||^2 in the inverse-stepsize metric at step k,
     with theta* re-gauged per step so its u-mean matches the iterate's (the
     objective and kernel are invariant under (u+c, v-c)).
     """
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     n = C.shape[0]
-    gamma = schedule.resolve(n, lam)
     it = zero_iterate(n)
     iterates = [it]
     gus, gvs, objs, errs, deltas = [], [], [], [], []
 
-    def record(cur: DualIterate):
-        logM = log_kernel(C, cur.u, cur.v, lam)
-        log_rs = lse(logM, axis=1)
-        rs, cs = np.exp(log_rs), np.exp(lse(logM, axis=0))
+    def record(cur: DualIterate) -> tuple[np.ndarray, np.ndarray]:
+        log_rs, log_cs = _log_sums(C, cur, lam)
+        rs, cs = np.exp(log_rs), np.exp(log_cs)
         gu, gv = rs - 1.0 / n, cs - 1.0 / n
         gus.append(np.linalg.norm(gu))
         gvs.append(np.linalg.norm(gv))
@@ -167,12 +155,13 @@ def gd_run(
             du = cur.u - (reference[0] + c)
             dv = cur.v - (reference[1] - c)
             deltas.append((du**2 * (rs + 1.0)).sum() / gamma + (dv**2 * (cs + 1.0)).sum() / gamma)
+        return log_rs, log_cs
 
-    record(it)
     for _ in range(depth):
-        it = gd_step(C, it, lam, gamma)
+        # the step reads the sums its record just took
+        it = _stepped(it, *record(it), gamma)
         iterates.append(it)
-        record(it)
+    record(it)
 
     radius = max(float(np.linalg.norm(i.theta)) for i in iterates)
     return Trajectory(
@@ -210,14 +199,13 @@ def smoothness_bound(n: int, r: float, lam: float) -> float:
 
 def hessian(C: np.ndarray, it: DualIterate, lam: float) -> np.ndarray:
     """Exact dual Hessian (1/lam) [[diag(M1), M], [M^T, diag(M^T 1)]]."""
-    logM = log_kernel(C, it.u, it.v, lam)
-    M = np.exp(logM)
+    M = np.exp(log_kernel(C, it.u, it.v, lam))
     n = C.shape[0]
     H = np.zeros((2 * n, 2 * n))
-    H[:n, :n] = np.diag(np.exp(lse(logM, axis=1)))
+    H[:n, :n] = np.diag(M.sum(axis=1))
     H[:n, n:] = M
     H[n:, :n] = M.T
-    H[n:, n:] = np.diag(np.exp(lse(logM, axis=0)))
+    H[n:, n:] = np.diag(M.sum(axis=0))
     return H / lam
 
 

@@ -58,31 +58,6 @@ def gibbs_kernel(C: np.ndarray, lam: float) -> GibbsKernel:
     return GibbsKernel(logQ=-C / lam - 1.0, lam=lam)
 
 
-@dataclasses.dataclass(frozen=True)
-class ScalingPair:
-    """Diagonal scalings stored as logs; A = diag(w) Q diag(q)."""
-
-    logw: np.ndarray
-    logq: np.ndarray
-
-    def gauge_fixed(self) -> "ScalingPair":
-        # (cw, q/c) scales to the same matrix; pin sum(log w) = 0
-        c = self.logw.mean()
-        return ScalingPair(logw=self.logw - c, logq=self.logq + c)
-
-
-def scaling_from_duals(u: np.ndarray, v: np.ndarray, lam: float) -> ScalingPair:
-    return ScalingPair(logw=np.asarray(u) / lam, logq=np.asarray(v) / lam)
-
-
-def dual_lift(pair: ScalingPair, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    return lam * pair.logw, lam * pair.logq
-
-
-def scaled_log_plan(gk: GibbsKernel, pair: ScalingPair) -> np.ndarray:
-    return gk.logQ + pair.logw[:, None] + pair.logq[None, :]
-
-
 # ---------------------------------------------------------------------------
 # dense normalization maps
 
@@ -126,17 +101,9 @@ def g_map(A: np.ndarray) -> np.ndarray:
 # Hilbert projective metric and the Birkhoff contraction factor
 
 
-def hilbert_metric(w, wp) -> float:
-    """log max_ij (w_i wp_j)/(w_j wp_i): the projective distance between
-    positive vectors, i.e. the spread of their log ratios."""
-    w = np.asarray(w, dtype=float)
-    wp = np.asarray(wp, dtype=float)
-    if not ((w > 0).all() and (wp > 0).all()):
-        raise ValueError("vectors must be strictly positive")
-    return hilbert_metric_logs(np.log(w), np.log(wp))
-
-
 def hilbert_metric_logs(logw: np.ndarray, logwp: np.ndarray) -> float:
+    """log max_ij (w_i wp_j)/(w_j wp_i) from log w and log wp: the projective
+    distance between positive vectors, i.e. the spread of their log ratios."""
     d = np.asarray(logw, dtype=float) - np.asarray(logwp, dtype=float)
     return float(d.max() - d.min())
 
@@ -157,13 +124,6 @@ def log_max_cross_ratio(logQ: np.ndarray) -> float:
     return best
 
 
-def max_cross_ratio(Q: np.ndarray) -> float:
-    Q = _checked(Q)
-    if not (Q > 0).all():
-        raise ValueError("matrix must be strictly positive")
-    return float(np.exp(log_max_cross_ratio(np.log(Q))))
-
-
 def contraction_factor_from_log(log_phi: float) -> float:
     # (sqrt(phi)-1)/(sqrt(phi)+1) == tanh(log(phi)/4); immune to phi overflow
     return float(np.tanh(log_phi / 4.0))
@@ -180,8 +140,17 @@ def contraction_factor(gk: GibbsKernel) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class SinkhornResult:
-    scaling: ScalingPair
-    log_plan: np.ndarray
+    """The fixed point as duals u = lam log w, v = lam log q in the balanced
+    gauge mean(u) = mean(v), so plan = exp(log_kernel(C, u, v, lam)).
+
+    The dual optimum is only defined up to (u + c, v - c). Hilbert distances
+    do not see c, but a confinement radius does, and the radius-matched
+    stepsize is exponentially sensitive to it; the balanced gauge is the one
+    of least norm.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
     plan: np.ndarray
     eps_star: float
     sweeps: int
@@ -222,40 +191,36 @@ def sinkhorn_solve(gk: GibbsKernel, tol: float = 1e-12, max_sweeps: int = 100_00
             P = np.exp(gk.logQ + logw[:, None] + logq[None, :])
             eps = marginal_error(P)
             if eps <= tol:
-                pair = ScalingPair(logw=logw, logq=logq).gauge_fixed()
-                return SinkhornResult(
-                    scaling=pair,
-                    log_plan=scaled_log_plan(gk, pair),
-                    plan=P,
-                    eps_star=eps,
-                    sweeps=sweep,
-                )
+                # (w c, q / c) scale to the same plan. Centre log w, then
+                # balance the offset: checks derive a radius, and from it an
+                # exponentially sensitive stepsize, from these exact bits.
+                m = logw.mean()
+                u, v = gk.lam * (logw - m), gk.lam * (logq + m)
+                c = (v.mean() - u.mean()) / 2.0
+                return SinkhornResult(u=u + c, v=v - c, plan=P, eps_star=eps, sweeps=sweep)
         logq = next_logq
     raise SinkhornError(f"no convergence to {tol} within {max_sweeps} sweeps (reached {eps})", eps_star=float(eps))
 
 
-def contraction_history(
-    gk: GibbsKernel,
-    sweeps: int,
-    reference: ScalingPair | None = None,
-    start: ScalingPair | None = None,
-) -> dict:
+def contraction_history(gk: GibbsKernel, sweeps: int, reference: SinkhornResult | None = None) -> dict:
     """Hilbert-metric distances of the sweep iterates to the fixed point.
 
-    Entry m of mu_w / mu_q is the distance after m full sweeps from `start`
-    (default: unit scalings, i.e. the raw kernel).
+    Entry m of mu_w / mu_q is the distance of log w / log q after m full
+    sweeps from unit scalings (the raw kernel) to u / lam and v / lam of the
+    `reference` solution (default: solved here).
     """
     if reference is None:
-        reference = sinkhorn_solve(gk).scaling
-    logw = np.zeros(gk.n) if start is None else start.logw.copy()
-    logq = np.zeros(gk.n) if start is None else start.logq.copy()
-    mu_w = [hilbert_metric_logs(logw, reference.logw)]
-    mu_q = [hilbert_metric_logs(logq, reference.logq)]
+        reference = sinkhorn_solve(gk)
+    ref_logw, ref_logq = reference.u / gk.lam, reference.v / gk.lam
+    logw = np.zeros(gk.n)
+    logq = np.zeros(gk.n)
+    mu_w = [hilbert_metric_logs(logw, ref_logw)]
+    mu_q = [hilbert_metric_logs(logq, ref_logq)]
     for _ in range(sweeps):
         logq = _f_update(gk.logQ, logw)
         logw = _g_update(gk.logQ, logq)
-        mu_w.append(hilbert_metric_logs(logw, reference.logw))
-        mu_q.append(hilbert_metric_logs(logq, reference.logq))
+        mu_w.append(hilbert_metric_logs(logw, ref_logw))
+        mu_q.append(hilbert_metric_logs(logq, ref_logq))
     return {
         "mu_w": np.array(mu_w),
         "mu_q": np.array(mu_q),
@@ -325,37 +290,36 @@ def boundary_member(n: int, eps: float) -> np.ndarray:
     return A
 
 
-def closure_harness(trials: int = 1000, ns: tuple[int, ...] = (2, 3, 5, 8), seed: int = 0) -> dict:
-    """Check that one f or g application at most triples the marginal error
-    (requires starting error < 1/(3n)). Per-trial child seeds keep trials
-    independent of execution order.
-    """
+def _harness(trials: int, ns: tuple[int, ...], seed: int, k: float, ratios) -> dict:
+    """Draw a matrix with marginal error eps < 1/(k n) per trial and count the
+    `ratios(A, n, eps)` (each a bound's use of its slack) that exceed 1.
+    Per-trial child seeds keep trials independent of execution order."""
     violations = 0
     worst = 0.0
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
         n = ns[t % len(ns)]
-        A, eps = random_near_scaled(rng, n, 1.0 / (3.0 * n))
-        for mapped in (f_map(A), g_map(A)):
-            ratio = marginal_error(mapped) / (3.0 * eps)
+        A, eps = random_near_scaled(rng, n, 1.0 / (k * n))
+        for ratio in ratios(A, n, eps):
             worst = max(worst, ratio)
             if ratio > 1.0:
                 violations += 1
     return {"trials": trials, "violations": violations, "worst_slack": worst}
+
+
+def closure_harness(trials: int = 1000, ns: tuple[int, ...] = (2, 3, 5, 8), seed: int = 0) -> dict:
+    """Check that one f or g application at most triples the marginal error
+    (requires starting error < 1/(3n))."""
+    return _harness(
+        trials, ns, seed, 3.0,
+        lambda A, n, eps: (marginal_error(mapped) / (3.0 * eps) for mapped in (f_map(A), g_map(A))),
+    )
 
 
 def shift_harness(trials: int = 1000, ns: tuple[int, ...] = (2, 3, 5, 8), seed: int = 0) -> dict:
     """Check that one f or g application moves the scalings by at most 4 n eps
     in the Hilbert metric (requires starting error < 1/(4n))."""
-    violations = 0
-    worst = 0.0
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        n = ns[t % len(ns)]
-        A, eps = random_near_scaled(rng, n, 1.0 / (4.0 * n))
-        for shift in normalization_mu_shifts(A):
-            ratio = shift / (4.0 * n * eps)
-            worst = max(worst, ratio)
-            if ratio > 1.0:
-                violations += 1
-    return {"trials": trials, "violations": violations, "worst_slack": worst}
+    return _harness(
+        trials, ns, seed, 4.0,
+        lambda A, n, eps: (shift / (4.0 * n * eps) for shift in normalization_mu_shifts(A)),
+    )

@@ -224,23 +224,15 @@ class ForwardTrace:
 def forward(
     inst: ProblemInstance,
     depth: int,
-    schedule: dd.StepsizeSchedule | None = None,
-    weights: LayerWeights | None = None,
+    weights: LayerWeights,
     record_patterns: bool = False,
 ) -> ForwardTrace:
-    """Run `depth` constructed layers on the instance's prompt.
-
-    Weights are built from the schedule when not supplied; a supplied set is
-    reused as-is (it is n-independent by construction).
-    """
+    """Run `depth` layers of `weights` on the instance's prompt; a constructed
+    set is n-independent, so one set serves every instance of its d."""
     if record_patterns:
         raise ValueError("forward keeps states only; read patterns with attention_pattern")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if weights is None:
-        if schedule is None:
-            raise ValueError("need either a schedule or explicit weights")
-        weights = build_constructed_weights(inst.d, inst.lam, schedule.resolve(inst.n, inst.lam))
 
     states = [build_prompt(inst)]
     for _ in range(depth):

@@ -140,6 +140,9 @@ def test_sort_requires_x(capsys):
         ["sort", "--x", "1e9,0,1"],  # outside the target grid's span [0, 1]
         ["forward", "--gamma", "1e9"],  # fails the construction's probe check
         ["gd", "--radius", "1e6"],  # radius-matched stepsize underflows to 0
+        ["gd", "--gamma", "0"],
+        ["gd", "--gamma", "inf"],  # ran to NaN duals and exited 0
+        ["gd", "--depth", "-1"],
     ],
 )
 def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
@@ -156,6 +159,8 @@ def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
     [
         ["forward", "--lambda", "1e-6", "--depth", "50", "--checkpoints", "2,50"],  # kernel overflows
         ["gd", "--gamma", "1e9", "--depth", "50"],  # descent diverges
+        ["forward", "--gamma", "1e6"],  # oscillates; overflows at layers 2, 7, 12, ..., no default checkpoint
+        ["forward", "--lambda", "1e-6"],
     ],
 )
 def test_diverged_run_exits_3_with_one_line(argv, tmp_path, capsys):

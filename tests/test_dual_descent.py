@@ -101,25 +101,46 @@ def test_gd_step_survives_kernel_overflow():
 
 def test_descent_decreases_objective():
     inst = permutation_instance(4, 1, 0.5)
-    traj = dd.gd_run(cost_matrix(inst), 0.5, 60, dd.StepsizeSchedule.fixed(0.1))
+    traj = dd.gd_run(cost_matrix(inst), 0.5, 60, 0.1)
     assert np.all(np.diff(traj.objectives) <= 1e-12)
     assert traj.marginal_errors[-1] < traj.marginal_errors[0]
 
 
 def test_schedule_fixed_and_radius_modes():
-    assert dd.StepsizeSchedule.fixed(0.3).resolve(5, 0.01) == 0.3
-    sched = dd.StepsizeSchedule.from_radius(1.0)
+    # a fixed stepsize is used as given; the radius-matched one is 1/smoothness
+    assert dd.gd_run(cost_matrix(permutation_instance(5, 0, 0.01)), 0.01, 1, 0.3).gamma == 0.3
     n, lam = 3, 2.0
-    assert sched.resolve(n, lam) == pytest.approx(1.0 / dd.smoothness_bound(n, 1.0, lam), rel=1e-15)
+    assert dd.radius_stepsize(n, 1.0, lam) == pytest.approx(1.0 / dd.smoothness_bound(n, 1.0, lam), rel=1e-15)
 
 
 def test_schedule_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        dd.StepsizeSchedule.fixed(0.0)
+        dd.gd_run(np.zeros((2, 2)), 1.0, 5, 0.0)
     with pytest.raises(ValueError):
-        dd.StepsizeSchedule.from_radius(-1.0)
+        dd.radius_stepsize(4, -1.0, 1.0)
     with pytest.raises(ValueError):  # e^{-2r/lam} underflows to 0
-        dd.StepsizeSchedule.from_radius(1e6).resolve(4, 0.005)
+        dd.radius_stepsize(4, 1e6, 0.005)
+
+
+def test_gd_run_takes_one_kernel_pass_per_step(monkeypatch):
+    """Each recorded iterate's kernel sums also feed the step that leaves it,
+    and the iterates are exactly those of the gd_step oracle."""
+    C = cost_matrix(permutation_instance(4, 3, 0.5))
+    depth = 30
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return log_kernel(*args)
+
+    monkeypatch.setattr(dd, "log_kernel", counted)
+    traj = dd.gd_run(C, 0.5, depth, 0.1)
+    assert len(calls) == depth + 1
+    monkeypatch.undo()
+    it = dd.zero_iterate(4)
+    for k in range(1, depth + 1):
+        it = dd.gd_step(C, it, 0.5, 0.1)
+        np.testing.assert_array_equal(traj.iterates[k].theta, it.theta)
 
 
 def test_smoothness_bound_frozen_value():
@@ -182,7 +203,7 @@ def test_trajectory_bookkeeping():
     inst = permutation_instance(3, 2, 0.8)
     C = cost_matrix(inst)
     depth = 25
-    traj = dd.gd_run(C, 0.8, depth, dd.StepsizeSchedule.fixed(0.05))
+    traj = dd.gd_run(C, 0.8, depth, 0.05)
     assert traj.depth == depth
     assert len(traj.iterates) == depth + 1
     for arr in (traj.grad_u_norms, traj.grad_v_norms, traj.objectives, traj.marginal_errors):
@@ -208,11 +229,8 @@ def test_reference_distance_nonincreasing_under_radius_matched_step():
             inst = ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=1.0)
         C = cost_matrix(inst)
         ref = sl.sinkhorn_solve(sl.gibbs_kernel(C, 1.0), tol=1e-13)
-        u, v = sl.dual_lift(ref.scaling, 1.0)
-        c = (v.mean() - u.mean()) / 2.0
-        u, v = u + c, v - c
-        r = 2.0 * (float(np.linalg.norm(np.concatenate([u, v]))) + 1.0)
-        traj = dd.gd_run(C, 1.0, 300, dd.StepsizeSchedule.from_radius(r), reference=(u, v))
+        r = 2.0 * (float(np.linalg.norm(np.concatenate([ref.u, ref.v]))) + 1.0)
+        traj = dd.gd_run(C, 1.0, 300, dd.radius_stepsize(n, r, 1.0), reference=(ref.u, ref.v))
         assert traj.radius <= r  # premise of the monotonicity claim
         assert traj.deltas.shape == (301,)
         assert np.all(np.diff(traj.deltas) <= 1e-9 * traj.deltas[0])
@@ -220,7 +238,7 @@ def test_reference_distance_nonincreasing_under_radius_matched_step():
 
 def test_trajectory_csv_round_trip(tmp_path):
     inst = permutation_instance(3, 0, 0.5)
-    traj = dd.gd_run(cost_matrix(inst), 0.5, 10, dd.StepsizeSchedule.fixed(0.1))
+    traj = dd.gd_run(cost_matrix(inst), 0.5, 10, 0.1)
     path = tmp_path / "traj.csv"
     dd.trajectory_to_csv(traj, path)
     lines = path.read_text().splitlines()

@@ -73,7 +73,7 @@ def test_single_layer_is_one_descent_step():
 def test_forward_tracks_oracle_at_every_prefix():
     inst = permutation_instance(4, 3, 0.2)
     gamma = 0.15
-    trace = forward(inst, 8, schedule=dd.StepsizeSchedule.fixed(gamma))
+    trace = forward(inst, 8, weights=build_constructed_weights(inst.d, inst.lam, gamma))
     oracle = _oracle_duals(inst, 8, gamma)
     for ell in range(9):
         u, v = trace.duals(ell)
@@ -83,7 +83,7 @@ def test_forward_tracks_oracle_at_every_prefix():
 
 def test_aux_row_scratch_is_bit_exact_zero():
     inst = permutation_instance(6, 1, 0.05)
-    trace = forward(inst, 40, schedule=dd.StepsizeSchedule.fixed(0.02))
+    trace = forward(inst, 40, weights=build_constructed_weights(inst.d, inst.lam, 0.02))
     lay = trace.states[0].layout
     for state in trace.states:
         assert state.Z[6, lay.u] == 0.0
@@ -92,7 +92,7 @@ def test_aux_row_scratch_is_bit_exact_zero():
 
 def test_static_prompt_columns_never_move():
     inst = permutation_instance(3, 5, 0.5)
-    trace = forward(inst, 30, schedule=dd.StepsizeSchedule.fixed(0.1))
+    trace = forward(inst, 30, weights=build_constructed_weights(inst.d, inst.lam, 0.1))
     first, last = trace.states[0].Z, trace.states[-1].Z
     lay = trace.states[0].layout
     static = [lay.xsq, lay.ysq, lay.marker, lay.spare, *lay.ones]
@@ -114,7 +114,7 @@ def test_flipped_value_sign_breaks_equivalence():
 
 def test_raw_kernel_pattern_is_dual_kernel():
     inst = permutation_instance(5, 2, 0.3)
-    trace = forward(inst, 12, schedule=dd.StepsizeSchedule.fixed(0.08))
+    trace = forward(inst, 12, weights=build_constructed_weights(inst.d, inst.lam, 0.08))
     C = cost_matrix(inst)
     for ell in (0, 5, 12):
         u, v = trace.duals(ell)
@@ -126,7 +126,7 @@ def test_raw_kernel_pattern_is_dual_kernel():
 
 def test_softmax_pattern_rows_are_distributions():
     inst = permutation_instance(4, 1, 0.5)
-    trace = forward(inst, 4, schedule=dd.StepsizeSchedule.fixed(0.1))
+    trace = forward(inst, 4, weights=build_constructed_weights(inst.d, inst.lam, 0.1))
     A = attention_pattern(trace.states[2], trace.weights.heads[0], "softmax")
     assert A.shape == (5, 5)  # softmax runs over all n+1 tokens
     assert np.all(A > 0)
@@ -148,12 +148,12 @@ def test_attention_pattern_variants_disagree():
         attention_pattern(state, w.heads[0], "nonsense")
 
 
-def test_default_forward_uses_constructed_weights():
+def test_forward_requires_weights():
     inst = permutation_instance(3, 4, 0.7)
-    a = forward(inst, 5, schedule=dd.StepsizeSchedule.fixed(0.1))
+    with pytest.raises(TypeError):
+        forward(inst, 5)
     w = build_constructed_weights(1, 0.7, 0.1)
-    b = forward(inst, 5, weights=w)
-    np.testing.assert_array_equal(a.states[-1].Z, b.states[-1].Z)
+    assert forward(inst, 5, weights=w).weights is w
 
 
 def test_forward_rejects_mismatched_weights():
@@ -196,7 +196,7 @@ def test_weights_json_round_trip(tmp_path):
 
 def test_equivalence_survives_tiny_lam_deep_run():
     inst = permutation_instance(4, 2, 0.005)
-    trace = forward(inst, 200, schedule=dd.StepsizeSchedule.fixed(0.01))
+    trace = forward(inst, 200, weights=build_constructed_weights(inst.d, inst.lam, 0.01))
     oracle = _oracle_duals(inst, 200, 0.01)
     u, v = trace.duals(200)
     assert np.abs(np.concatenate([u - oracle[200].u, v - oracle[200].v])).max() < 1e-10
