@@ -158,6 +158,18 @@ def test_sinkhorn_solve_reaches_fixed_point():
     assert res.u.mean() == pytest.approx(res.v.mean(), abs=1e-12)
 
 
+def test_scaled_log_plan_is_descent_kernel():
+    # the Gibbs kernel scaled by w = exp(u/lam), q = exp(v/lam) is the
+    # descent kernel at (u, v): the identity behind SinkhornResult's duals
+    rng = np.random.default_rng(3)
+    lam = 0.4
+    C = rng.uniform(0, 1, (3, 3))
+    u, v = rng.normal(0, 0.2, 3), rng.normal(0, 0.2, 3)
+    gk = sl.gibbs_kernel(C, lam)
+    logP = gk.logQ + (u / lam)[:, None] + (v / lam)[None, :]
+    np.testing.assert_allclose(logP, log_kernel(C, u, v, lam), atol=1e-12)
+
+
 def test_sinkhorn_budget_exhaustion_raises_with_progress():
     gk = sl.gibbs_kernel(cost_matrix(sorting_instance([0.5, 0.75, 0.25, 0.0])), 0.005)
     with pytest.raises(sl.SinkhornError) as exc:
