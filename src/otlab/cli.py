@@ -22,6 +22,8 @@ from .logdomain import log_kernel, marginal_error
 from .oracles import sort_oracle
 from .problem import ProblemInstance, cost_matrix, permutation_instance, sorting_instance
 from .transformer_core import (
+    _RESET_GUARD,
+    DegeneratePlanRowError,
     ForwardTrace,
     apply_plan,
     attention_pattern,
@@ -117,21 +119,28 @@ def _manifest(out: Path, command: str, cfg: dict, metrics: dict, outputs: list[s
     )
 
 
-def _first_overflowing_layer(trace: ForwardTrace, C: np.ndarray, lam: float) -> int | None:
-    """First layer whose largest kernel logit (u_i + v_j - C_ij)/lam - 1
-    exceeds log of the largest float, i.e. whose plan overflows; None if none.
+def _divergence(trace: ForwardTrace, C: np.ndarray, lam: float) -> str | None:
+    """Why the pass diverged, naming the first bad layer; None if no layer is.
 
-    The O(n) bound (max u + max v - min C)/lam - 1 clears almost every layer,
-    so the n^2 logits are formed only for the layers it does not clear.
+    A layer is bad once a dual reaches the feedforward's reset guard (from
+    there the layer no longer performs a descent step), or once its plan is
+    too large to measure: a kernel entry exp((u_i + v_j - C_ij)/lam - 1) above
+    sqrt(largest float)/n, where the plan's squared Frobenius norm may
+    overflow. The O(n) bound (max u + max v - min C)/lam - 1 on the log
+    entries clears almost every layer, so the n^2 logits are formed only for
+    the layers it does not clear.
     """
-    log_max = float(np.log(np.finfo(float).max))
+    log_cap = 0.5 * np.log(np.finfo(float).max) - np.log(C.shape[0])
     c_min = C.min()
     for ell in range(len(trace.states)):
         u, v = trace.duals(ell)
-        if (u.max() + v.max() - c_min) / lam - 1.0 <= log_max:
+        u_max, v_max = u.max(), v.max()
+        if not max(u_max, v_max, -u.min(), -v.min()) < _RESET_GUARD:  # also catches NaN duals
+            return f"duals reach the reset guard {_RESET_GUARD:.0e} at layer {ell}"
+        if (u_max + v_max - c_min) / lam - 1.0 <= log_cap:
             continue
-        if not log_kernel(C, u, v, lam).max() <= log_max:  # also catches NaN duals
-            return ell
+        if not log_kernel(C, u, v, lam).max() <= log_cap:
+            return f"attention kernel exceeds {np.exp(log_cap):.0e} at layer {ell}"
     return None
 
 
@@ -163,15 +172,12 @@ def _cmd_forward(args: argparse.Namespace) -> int:
         inst = _instance(n, d, seed, lam)
         C = cost_matrix(inst)
         trace = forward(inst, depth, weights=weights)
-        bad = _first_overflowing_layer(trace, C, lam)
-        if bad is not None:
-            print(f"n={n}: attention kernel overflows at layer {bad}; the run diverged", file=sys.stderr)
+        why = _divergence(trace, C, lam)
+        if why is not None:
+            print(f"n={n}: {why}; the run diverged", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
-        # near-deterministic plans (tiny lam) contract too slowly for a
-        # 1e-12 reference; 1e-8 marginals already give ~1e-7 plan accuracy
-        tol_ref = 1e-12 if lam >= 0.05 else 1e-8
         try:
-            ref = sl.sinkhorn_solve(sl.gibbs_kernel(C, lam), tol=tol_ref)
+            ref = sl.sinkhorn_solve(sl.gibbs_kernel(C, lam))
         except sl.SinkhornError as exc:
             print(f"reference scaling did not converge: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
@@ -218,10 +224,18 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     lam, gamma, depth = _as_float(cfg["lambda"]), _as_float(cfg["gamma"]), _as_int(cfg["depth"])
     inst = sorting_instance(x, lam)
     trace = forward(inst, depth, weights=build_constructed_weights(inst.d, lam, gamma))
+    why = _divergence(trace, cost_matrix(inst), lam)
+    if why is not None:
+        print(f"n={inst.n}: {why}; the run diverged", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     # head 2's kernel block is the transposed plan, whose barycentric image of
     # x lands each rank at its sorted position
     plan_t = attention_pattern(trace.states[-1], trace.weights.heads[1], "raw_kernel")
-    estimate = apply_plan(plan_t, x)
+    try:
+        estimate = apply_plan(plan_t, x)
+    except DegeneratePlanRowError:
+        print(f"n={inst.n}: the layer-{depth} plan has a zero row; the run did not converge", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     target = sort_oracle(x)
     err = float(np.abs(estimate - target).max())
     print("input:    " + " ".join(f"{v:8.4f}" for v in x))
@@ -281,13 +295,14 @@ def _cmd_sinkhorn(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _resolve(args, {
         "n": "4", "d": "1", "lambda": "0.005", "seed": "0", "out": None,
-        "tol": "1e-12", "max_sweeps": "100000",
+        "tol": None, "max_sweeps": "100000",
     })
     n, d, lam, seed = _as_int(cfg["n"]), _as_int(cfg["d"]), _as_float(cfg["lambda"]), _as_int(cfg["seed"])
     inst = _instance(n, d, seed, lam)
     gk = sl.gibbs_kernel(cost_matrix(inst), lam)
+    tol = None if cfg["tol"] is None else _as_float(cfg["tol"])
     try:
-        res = sl.sinkhorn_solve(gk, tol=_as_float(cfg["tol"]), max_sweeps=_as_int(cfg["max_sweeps"]))
+        res = sl.sinkhorn_solve(gk, tol=tol, max_sweeps=_as_int(cfg["max_sweeps"]))
     except sl.SinkhornError as exc:
         print(f"sinkhorn did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -347,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("sinkhorn", help="solve the scaling fixed point")
     _add_common(p, "n", "d", "lambda", "seed", "out")
-    p.add_argument("--tol", default=None, help="marginal tolerance")
+    p.add_argument("--tol", default=None, help="marginal tolerance (default 1e-12, or 1e-8 below lambda 0.05)")
     p.add_argument("--max-sweeps", dest="max_sweeps", default=None, help="sweep budget")
     p.set_defaults(func=_cmd_sinkhorn)
 

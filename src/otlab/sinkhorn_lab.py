@@ -168,11 +168,15 @@ def _g_update(logQ: np.ndarray, logq: np.ndarray) -> np.ndarray:
     return -(np.log(n) + lse(logQ + logq[None, :], axis=1))
 
 
-def sinkhorn_solve(gk: GibbsKernel, tol: float = 1e-12, max_sweeps: int = 100_000) -> SinkhornResult:
+def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 100_000) -> SinkhornResult:
     """Alternate column/row normalization until every marginal is within tol
     of 1/n. Raises SinkhornError (with the achieved error) if the budget runs
     out — the kernel is strictly positive in exact arithmetic, so that only
     signals an unreachable tolerance, not divergence.
+
+    The default tol is 1e-12, or 1e-8 below lam = 0.05: near-deterministic
+    plans contract too slowly for 1e-12 (83,502 sweeps at n = 4, lam = 0.005,
+    where 1e-8 takes one), and 1e-8 marginals already give ~1e-7 plans.
 
     After a row step the rows sit at 1/n, and the columns at q / (n q'),
     where q' is what the next column step computes anyway. So each sweep
@@ -180,6 +184,8 @@ def sinkhorn_solve(gk: GibbsKernel, tol: float = 1e-12, max_sweeps: int = 100_00
     tol is the plan exponentiated and checked densely; the returned plan
     always passes the dense check.
     """
+    if tol is None:
+        tol = 1e-12 if gk.lam >= 0.05 else 1e-8
     n = gk.n
     logq = _f_update(gk.logQ, np.zeros(n))
     eps = np.inf

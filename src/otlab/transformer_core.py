@@ -61,17 +61,29 @@ class LayerWeights:
     d: int
     lam: float
     gamma: float
+    # heads stacked on a leading axis, (2, width, width); rebuilt on replace()
+    Qs: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    Wvs: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    Bs: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "Qs", np.stack([h.Q for h in self.heads]))
+        object.__setattr__(self, "Wvs", np.stack([h.Wv for h in self.heads]))
+        object.__setattr__(self, "Bs", np.stack(self.B))
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the last axis, computed in place in `logits`."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
-def attention(Z: np.ndarray, head: AttentionHead) -> np.ndarray:
-    """softmax_rows(Z Q Z^T) (Z Wv), attending over all tokens including self."""
-    return _softmax_rows(Z @ head.Q @ Z.T) @ (Z @ head.Wv)
+def attention(Z: np.ndarray, Qs: np.ndarray, Wvs: np.ndarray) -> np.ndarray:
+    """softmax_rows(Z Q_h Z^T) (Z Wv_h) for every head h of the stacks, as one
+    (heads, n+1, width) array; each token attends over all tokens, self included."""
+    return _softmax_rows((Z @ Qs) @ Z.T) @ (Z @ Wvs)
 
 
 def attention_pattern(state: HiddenState, head: AttentionHead, variant: str = "softmax") -> np.ndarray:
@@ -86,12 +98,15 @@ def attention_pattern(state: HiddenState, head: AttentionHead, variant: str = "s
 
 
 def layer_forward(state: HiddenState, weights: LayerWeights) -> HiddenState:
-    """Apply one layer; both heads read the incoming state."""
+    """Apply one layer; both heads read the incoming state and are summed in
+    the order Z + head 1 + head 2, bit-identical to a head-by-head loop."""
     Z = state.Z
-    mid = Z.copy()
-    for head, B in zip(weights.heads, weights.B):
-        mid = mid + attention(Z, head) @ B
-    out = mid + np.maximum(mid @ weights.Wf, 0.0)
+    heads = attention(Z, weights.Qs, weights.Wvs) @ weights.Bs
+    mid = Z + heads[0]
+    mid += heads[1]
+    out = mid @ weights.Wf
+    np.maximum(out, 0.0, out=out)
+    out += mid
     return HiddenState(Z=out, n=state.n, d=state.d)
 
 

@@ -5,6 +5,8 @@ Exit code contract: 0 ok, 1 usage, 2 verification failure, 3 solver
 non-convergence.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -15,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import otlab
 from otlab import cli
@@ -161,6 +165,11 @@ def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
         ["gd", "--gamma", "1e9", "--depth", "50"],  # descent diverges
         ["forward", "--gamma", "1e6"],  # oscillates; overflows at layers 2, 7, 12, ..., no default checkpoint
         ["forward", "--lambda", "1e-6"],
+        ["sort", "--x", "0.5,0,1,0.25", "--gamma", "1e3"],  # each sort exited 1 with "plan has a zero row"
+        ["sort", "--x", "0.5,0,1,0.25", "--gamma", "10"],
+        ["sort", "--x", "0.5,0,1,0.25", "--gamma", "1e6"],
+        # duals pass the feedforward's reset guard at layer 5; exited 0 with marginal error 0.955
+        ["forward", "--n", "4", "--lambda", "1e9", "--gamma", "5e7", "--depth", "200", "--checkpoints", "200"],
     ],
 )
 def test_diverged_run_exits_3_with_one_line(argv, tmp_path, capsys):
@@ -172,6 +181,42 @@ def test_diverged_run_exits_3_with_one_line(argv, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "diverged" in err
     assert not caught
     assert not out.exists() or not any(out.iterdir())  # nothing exported from the diverged run
+
+
+def test_sort_zero_row_plan_exits_3(capsys):
+    # at lam = 1e-6 every kernel entry of a point off the grid i/n underflows
+    assert main(["sort", "--x", "0.1,0.9", "--lambda", "1e-6", "--depth", "0"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "zero row" in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["sort", "forward"]),
+    xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    log_gamma=st.floats(-3.0, 8.0),
+    log_lam=st.floats(-6.0, 9.0),
+    depth=st.integers(0, 50),
+    seed=st.integers(0, 2**16),
+)
+def test_run_exits_0_or_3_with_one_line(command, xs, log_gamma, log_lam, depth, seed):
+    """Any parameters the weight construction accepts either give a result
+    or a one-line non-convergence report, never a usage error or a float
+    warning (pytest makes those errors)."""
+    lam, gamma = 10.0**log_lam, 10.0**log_gamma
+    try:
+        tc.build_constructed_weights(1, lam, gamma)
+    except ValueError:
+        assume(False)
+    common = ["--lambda", repr(lam), "--gamma", repr(gamma), "--depth", str(depth)]
+    if command == "sort":
+        argv = ["sort", "--x", ",".join(map(repr, xs)), *common]
+    else:
+        argv = ["forward", "--n", str(len(xs)), "--seed", str(seed), *common]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 0 or (code == 3 and len(err.getvalue().splitlines()) == 1), (code, err.getvalue())
 
 
 def test_cli_import_loads_no_scipy():
@@ -209,6 +254,13 @@ def test_gd_radius_matched_stepsize(capsys):
 def test_sinkhorn_converges(capsys):
     assert main(["sinkhorn", "--n", "4", "--lambda", "0.5", "--tol", "1e-10"]) == 0
     assert "converged" in capsys.readouterr().out
+
+
+def test_sinkhorn_default_tolerance_follows_lambda(capsys):
+    # the 1e-12 default took 83,502 sweeps here; below lam = 0.05 it is 1e-8
+    assert main(["sinkhorn"]) == 0
+    sweeps = int(capsys.readouterr().out.split("converged in ")[1].split()[0])
+    assert sweeps < 10
 
 
 def test_sinkhorn_budget_exhaustion_exits_3(tmp_path, capsys):

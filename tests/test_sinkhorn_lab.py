@@ -158,6 +158,15 @@ def test_sinkhorn_solve_reaches_fixed_point():
     assert res.u.mean() == pytest.approx(res.v.mean(), abs=1e-12)
 
 
+def test_sinkhorn_default_tolerance():
+    # the default is 1e-12 from lam = 0.05 up, 1e-8 below it
+    gk = sl.gibbs_kernel(cost_matrix(permutation_instance(5, 3, 0.5)), 0.5)
+    assert sl.sinkhorn_solve(gk).eps_star <= 1e-12
+    gk = sl.gibbs_kernel(cost_matrix(permutation_instance(4, 0, 0.005)), 0.005)
+    res = sl.sinkhorn_solve(gk)
+    assert res.sweeps < 10 and res.eps_star <= 1e-8
+
+
 def test_scaled_log_plan_is_descent_kernel():
     # the Gibbs kernel scaled by w = exp(u/lam), q = exp(v/lam) is the
     # descent kernel at (u, v): the identity behind SinkhornResult's duals

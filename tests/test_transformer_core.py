@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from otlab import dual_descent as dd
+from otlab import transformer_core as tc
+from otlab.checks import _flip_first_value_sign
 from otlab.logdomain import log_kernel
 from otlab.problem import ProblemInstance, cost_matrix, permutation_instance
 from otlab.prompt import build_prompt
@@ -110,6 +112,64 @@ def test_flipped_value_sign_breaks_equivalence():
     trace = forward(inst, 3, weights=bad)
     oracle = _oracle_duals(inst, 3, 0.1)
     assert np.abs(trace.duals(3)[0] - oracle[3].u).max() > 1e-3
+
+
+def _two_head_loop(state, w):
+    """One layer run head by head, each with its own row softmax."""
+    Z = state.Z
+    mid = Z.copy()
+    for head, B in zip(w.heads, w.B):
+        logits = Z @ head.Q @ Z.T
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        mid = mid + (e / e.sum(axis=1, keepdims=True)) @ (Z @ head.Wv) @ B
+    return mid + np.maximum(mid @ w.Wf, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lam, gamma", [(0.005, 0.01), (0.1, 0.1), (1.0, 0.1)])
+def test_stacked_heads_match_head_by_head_loop_bit_for_bit(d, lam, gamma):
+    w = build_constructed_weights(d, lam, gamma)
+    for weights in (w, _flip_first_value_sign(w)):
+        for n in (2, 5, 17):
+            rng = np.random.default_rng((n, d))
+            inst = ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam)
+            state = build_prompt(inst)
+            for _ in range(20):
+                want = _two_head_loop(state, weights)
+                state = layer_forward(state, weights)
+                np.testing.assert_array_equal(state.Z, want)
+
+
+def test_replaced_and_loaded_weights_rebuild_their_stacks(tmp_path):
+    """--flip-sign and the bench's injected fault swap head 1 with
+    dataclasses.replace; the layer must run the swapped head, not a stale stack."""
+    w = build_constructed_weights(1, 0.5, 0.1)
+    bad = _flip_first_value_sign(w)
+    np.testing.assert_array_equal(bad.Wvs[0], -w.heads[0].Wv)
+    np.testing.assert_array_equal(bad.Wvs[1], w.heads[1].Wv)
+    save_weights(bad, tmp_path / "bad.json")
+    loaded = load_weights(tmp_path / "bad.json")
+    state = build_prompt(permutation_instance(4, 0, 0.5))
+    for weights in (bad, loaded):
+        for stack, parts in ((weights.Qs, [h.Q for h in weights.heads]),
+                             (weights.Wvs, [h.Wv for h in weights.heads]), (weights.Bs, weights.B)):
+            np.testing.assert_array_equal(stack, np.stack(parts))
+        np.testing.assert_array_equal(layer_forward(state, weights).Z, _two_head_loop(state, bad))
+    assert not np.array_equal(layer_forward(state, bad).Z, layer_forward(state, w).Z)
+
+
+def test_layer_makes_one_attention_call(monkeypatch):
+    calls = []
+    real = tc.attention
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    w = build_constructed_weights(1, 0.5, 0.1)
+    monkeypatch.setattr(tc, "attention", counted)
+    forward(permutation_instance(4, 0, 0.5), 30, weights=w)
+    assert len(calls) == 30
 
 
 def test_raw_kernel_pattern_is_dual_kernel():
