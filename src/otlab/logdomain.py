@@ -27,13 +27,21 @@ def log_kernel(C: np.ndarray, u: np.ndarray, v: np.ndarray, lam: float) -> np.nd
     return (-C + u[:, None] + v[None, :]) / lam - 1.0
 
 
-def marginal_error(A: np.ndarray) -> float:
-    """Largest deviation of any row/column sum of A from 1/n (sup-norm)."""
+def square_matrices(A) -> np.ndarray:
+    """A as floats: one square matrix, or a stack of them over the last two axes."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("expected a square matrix")
-    n = A.shape[0]
-    return max(
-        float(np.abs(A.sum(axis=1) - 1.0 / n).max()),
-        float(np.abs(A.sum(axis=0) - 1.0 / n).max()),
+    return A
+
+
+def marginal_error(A: np.ndarray) -> float | np.ndarray:
+    """Largest deviation of any row/column sum of A from 1/n (sup-norm): a
+    float for one matrix, an array over the leading axes for a stack."""
+    A = square_matrices(A)
+    n = A.shape[-1]
+    err = np.maximum(
+        np.abs(A.sum(axis=-1) - 1.0 / n).max(axis=-1),
+        np.abs(A.sum(axis=-2) - 1.0 / n).max(axis=-1),
     )
+    return float(err) if A.ndim == 2 else err

@@ -20,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from .logdomain import lse, marginal_error
+from .logdomain import lse, marginal_error, square_matrices
 
 
 class SinkhornError(RuntimeError):
@@ -59,42 +59,36 @@ def gibbs_kernel(C: np.ndarray, lam: float) -> GibbsKernel:
 
 
 # ---------------------------------------------------------------------------
-# dense normalization maps
-
-
-def _checked(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected a square matrix")
-    return A
+# dense normalization maps; each acts on one matrix or, slice by slice, on a
+# stack of them over the last two axes
 
 
 def row_fn(A: np.ndarray) -> np.ndarray:
     """Row normalizers 1/(n * row sums)."""
-    A = _checked(A)
-    s = A.sum(axis=1)
+    A = square_matrices(A)
+    s = A.sum(axis=-1)
     if not (np.isfinite(s).all() and (s > 0).all()):
         raise ValueError("row sums must be positive and finite")
-    return 1.0 / (A.shape[0] * s)
+    return 1.0 / (A.shape[-1] * s)
 
 
 def col_fn(A: np.ndarray) -> np.ndarray:
     """Column normalizers 1/(n * column sums)."""
-    A = _checked(A)
-    s = A.sum(axis=0)
+    A = square_matrices(A)
+    s = A.sum(axis=-2)
     if not (np.isfinite(s).all() and (s > 0).all()):
         raise ValueError("column sums must be positive and finite")
-    return 1.0 / (A.shape[0] * s)
+    return 1.0 / (A.shape[-1] * s)
 
 
 def f_map(A: np.ndarray) -> np.ndarray:
     """Column normalization A diag(col(A)); makes column sums exactly 1/n."""
-    return A * col_fn(A)[None, :]
+    return A * col_fn(A)[..., None, :]
 
 
 def g_map(A: np.ndarray) -> np.ndarray:
     """Row normalization diag(row(A)) A; makes row sums exactly 1/n."""
-    return A * row_fn(A)[:, None]
+    return A * row_fn(A)[..., :, None]
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +108,9 @@ def log_max_cross_ratio(logQ: np.ndarray) -> float:
     For each column pair the inner max over (i, j) splits into two independent
     maxima of the column log-difference, i.e. its spread.
     """
-    logQ = _checked(logQ)
+    logQ = square_matrices(logQ)
+    if logQ.ndim != 2:
+        raise ValueError("expected one kernel, not a stack")
     n = logQ.shape[0]
     best = 0.0
     for k in range(n):
@@ -238,16 +234,18 @@ def contraction_history(gk: GibbsKernel, sweeps: int, reference: SinkhornResult 
 # one-step displacement and the depth bound
 
 
-def normalization_mu_shifts(A: np.ndarray) -> tuple[float, float]:
+def normalization_mu_shifts(A: np.ndarray) -> tuple:
     """Hilbert-metric displacement of the scaling vectors under one f / g.
 
     f multiplies the column scaling by col(A) and g the row scaling by row(A),
     so the displacements are the log-spreads of those normalizer vectors,
-    independent of how A is decomposed.
+    independent of how A is decomposed. Floats for one matrix, arrays over the
+    leading axes for a stack.
     """
     lc = np.log(col_fn(A))
     lr = np.log(row_fn(A))
-    return float(lc.max() - lc.min()), float(lr.max() - lr.min())
+    shifts = lc.max(axis=-1) - lc.min(axis=-1), lr.max(axis=-1) - lr.min(axis=-1)
+    return tuple(map(float, shifts)) if lc.ndim == 1 else shifts
 
 
 def scaling_convergence_bound(n: int, r: float, lam: float, eta: float, depth: int) -> float:
@@ -267,26 +265,40 @@ def scaling_convergence_bound(n: int, r: float, lam: float, eta: float, depth: i
 # randomized property harnesses
 
 
-def random_near_scaled(rng: np.random.Generator, n: int, eps_cap: float) -> tuple[np.ndarray, float]:
-    """A positive matrix with all marginals strictly within eps_cap of 1/n.
+def random_near_scaled(rngs: list[np.random.Generator], n: int, eps_cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """One positive n x n matrix per generator, all marginals strictly within
+    eps_cap of 1/n: the (T, n, n) stack and its (T,) marginal errors.
 
-    A lognormal matrix is scaled to doubly stochastic, then perturbed
+    Each lognormal matrix is scaled to doubly stochastic, then perturbed
     entrywise by a relative factor small enough that the achieved marginal
-    error stays below 0.9 * eps_cap while every entry stays positive.
+    error stays below 0.9 * eps_cap while every entry stays positive. A trial
+    depends on its own generator only: it draws the matrix, the factor and
+    the perturbation in that order, and its scaling stops at the first
+    iteration that brings it within eps_cap * 1e-6, whatever the others do.
     """
-    P = np.exp(rng.normal(size=(n, n)))  # well-conditioned, dense sweeps suffice
-    P /= P.sum()
+    P = np.empty((len(rngs), n, n))
+    noise = np.empty_like(P)
+    for t, rng in enumerate(rngs):
+        P[t] = rng.normal(size=(n, n))
+        rho = n * eps_cap * rng.uniform(0.05, 0.9)
+        noise[t] = rng.uniform(-rho, rho, size=(n, n))
+    np.exp(P, out=P)  # well-conditioned, dense sweeps suffice
+    P /= P.sum(axis=(-2, -1), keepdims=True)
+    live = np.arange(len(P))  # trials still scaling; Q holds their iterates
+    Q = P
     for _ in range(500):
-        P = P * col_fn(P)[None, :]
-        P = row_fn(P)[:, None] * P
-        if marginal_error(P) <= eps_cap * 1e-6:
+        Q = g_map(f_map(Q))
+        done = marginal_error(Q) <= eps_cap * 1e-6
+        P[live[done]] = Q[done]
+        live, Q = live[~done], Q[~done]
+        if not live.size:
             break
-    rho = n * eps_cap * rng.uniform(0.05, 0.9)
-    A = P * (1.0 + rng.uniform(-rho, rho, size=(n, n)))
-    eps_star = marginal_error(A)
-    if not eps_star < eps_cap:
+    P[live] = Q
+    P *= 1.0 + noise
+    eps_star = marginal_error(P)
+    if not (eps_star < eps_cap).all():
         raise AssertionError("perturbation sizing failed to stay inside the ball")
-    return A, eps_star
+    return P, eps_star
 
 
 def boundary_member(n: int, eps: float) -> np.ndarray:
@@ -299,17 +311,18 @@ def boundary_member(n: int, eps: float) -> np.ndarray:
 def _harness(trials: int, ns: tuple[int, ...], seed: int, k: float, ratios) -> dict:
     """Draw a matrix with marginal error eps < 1/(k n) per trial and count the
     `ratios(A, n, eps)` (each a bound's use of its slack) that exceed 1.
-    Per-trial child seeds keep trials independent of execution order."""
+    Trial t has size ns[t % len(ns)] and generator (seed, t), so it draws the
+    same matrix whatever else runs; the trials of one size form one stack."""
     violations = 0
     worst = 0.0
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        n = ns[t % len(ns)]
-        A, eps = random_near_scaled(rng, n, 1.0 / (k * n))
+    for n in dict.fromkeys(ns):
+        ts = [t for t in range(trials) if ns[t % len(ns)] == n]
+        if not ts:
+            continue
+        A, eps = random_near_scaled([np.random.default_rng((seed, t)) for t in ts], n, 1.0 / (k * n))
         for ratio in ratios(A, n, eps):
-            worst = max(worst, ratio)
-            if ratio > 1.0:
-                violations += 1
+            worst = max(worst, float(ratio.max()))
+            violations += int((ratio > 1.0).sum())
     return {"trials": trials, "violations": violations, "worst_slack": worst}
 
 

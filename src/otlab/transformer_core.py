@@ -262,6 +262,8 @@ def apply_plan(pattern: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if P.ndim != 2 or P.shape[1] != x.shape[0]:
         raise ValueError("pattern columns must match len(x)")
+    if not np.isfinite(P).all():
+        raise ValueError("plan entries must be finite")
     if (P < 0).any():
         raise ValueError("plan entries must be nonnegative")
     sums = P.sum(axis=1)

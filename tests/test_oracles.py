@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from otlab.oracles import (
+    MAX_BRUTE_FORCE_N,
     DegeneratePlanError,
     brute_force_ot,
     finite_diff_grad,
@@ -44,12 +47,34 @@ def test_brute_force_rejects_large_n():
 
 def test_brute_force_matches_hungarian_cost():
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        n = int(rng.integers(2, 7))
-        C = rng.uniform(0, 1, (n, n))
-        mine = brute_force_ot(C)
-        rows, cols = linear_sum_assignment(C)
-        assert mine.cost == pytest.approx(C[rows, cols].sum() / n, rel=1e-12)
+    for n in range(2, MAX_BRUTE_FORCE_N + 1):
+        for _ in range(3):
+            C = rng.uniform(0, 1, (n, n))
+            mine = brute_force_ot(C)
+            rows, cols = linear_sum_assignment(C)
+            assert mine.cost == pytest.approx(C[rows, cols].sum() / n, rel=1e-12)
+
+
+def _reference_brute_force(C):
+    """The permutation-by-permutation search, first strict minimizer kept."""
+    n = C.shape[0]
+    rows = np.arange(n)
+    best, best_cost = None, np.inf
+    for perm in itertools.permutations(range(n)):
+        cost = C[rows, perm].sum()
+        if cost < best_cost:
+            best, best_cost = perm, cost
+    return best, float(best_cost) / n
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_enumeration_matches_permutation_loop(n):
+    rng = np.random.default_rng(n)
+    cases = [rng.uniform(0, 1, (n, n)), np.zeros((n, n))]
+    cases += [rng.integers(0, 3, (n, n)).astype(float) for _ in range(2)]  # many tied optima
+    for C in cases:
+        plan = brute_force_ot(C)
+        assert (plan.perm, plan.cost) == _reference_brute_force(C)
 
 
 def test_brute_force_on_line_is_monotone_rearrangement():

@@ -242,13 +242,97 @@ def test_normalization_shift_equals_normalizer_spread():
 
 
 def test_random_near_scaled_respects_cap():
-    rng = np.random.default_rng(6)
     for n in (2, 5):
         cap = 1.0 / (3 * n) * 0.9
-        A, eps = sl.random_near_scaled(rng, n, cap)
+        A, eps = sl.random_near_scaled([np.random.default_rng((6, t)) for t in range(4)], n, cap)
+        assert A.shape == (4, n, n) and eps.shape == (4,)
         assert np.all(A > 0)
-        assert eps == pytest.approx(marginal_error(A), rel=1e-12)
-        assert eps <= cap
+        np.testing.assert_allclose(eps, [marginal_error(a) for a in A], rtol=1e-12)
+        assert np.all(eps <= cap)
+
+
+def _reference_near_scaled(rng, n, eps_cap):
+    """The per-trial draw: one matrix, scaled by its own loop."""
+    P = np.exp(rng.normal(size=(n, n)))
+    P /= P.sum()
+    for _ in range(500):
+        P = P * sl.col_fn(P)[None, :]
+        P = sl.row_fn(P)[:, None] * P
+        if marginal_error(P) <= eps_cap * 1e-6:
+            break
+    rho = n * eps_cap * rng.uniform(0.05, 0.9)
+    A = P * (1.0 + rng.uniform(-rho, rho, size=(n, n)))
+    return A, marginal_error(A)
+
+
+def _reference_harness(trials, ns, seed, k, ratios):
+    """The per-trial harness loop over `_reference_near_scaled` draws."""
+    violations, worst = 0, 0.0
+    for t in range(trials):
+        n = ns[t % len(ns)]
+        A, eps = _reference_near_scaled(np.random.default_rng((seed, t)), n, 1.0 / (k * n))
+        for ratio in ratios(A, n, eps):
+            worst = max(worst, ratio)
+            violations += ratio > 1.0
+    return {"trials": trials, "violations": violations, "worst_slack": worst}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_stacked_draw_matches_per_trial_loop(n):
+    for seed, k in ((0, 3.0), (1, 4.0), (7, 3.0)):
+        cap = 1.0 / (k * n)
+        A, eps = sl.random_near_scaled([np.random.default_rng((seed, t)) for t in range(25)], n, cap)
+        for t in range(25):
+            ref_A, ref_eps = _reference_near_scaled(np.random.default_rng((seed, t)), n, cap)
+            assert np.array_equal(A[t], ref_A)
+            assert eps[t] == ref_eps
+    # one generator is the same call
+    A1, eps1 = sl.random_near_scaled([np.random.default_rng((7, 3))], n, cap)
+    assert np.array_equal(A1[0], A[3]) and eps1[0] == eps[3]
+
+
+def test_harness_reports_match_per_trial_reference():
+    closure = lambda A, n, eps: [marginal_error(m) / (3.0 * eps) for m in (sl.f_map(A), sl.g_map(A))]
+    shift = lambda A, n, eps: [s / (4.0 * n * eps) for s in sl.normalization_mu_shifts(A)]
+    for seed in range(3):
+        assert sl.closure_harness(trials=150, seed=seed) == _reference_harness(150, (2, 3, 5, 8), seed, 3.0, closure)
+        assert sl.shift_harness(trials=150, seed=seed) == _reference_harness(150, (2, 3, 5, 8), seed, 4.0, shift)
+    # fewer trials than sizes, and a size listed twice
+    assert sl.closure_harness(trials=3, ns=(2, 3, 5, 8), seed=4) == _reference_harness(3, (2, 3, 5, 8), 4, 3.0, closure)
+    assert sl.shift_harness(trials=31, ns=(3, 2, 3), seed=5) == _reference_harness(31, (3, 2, 3), 5, 4.0, shift)
+
+
+def test_harness_runs_one_scaling_loop_per_n(monkeypatch):
+    draws = []
+    stacked = sl.random_near_scaled
+
+    def counted(rngs, n, eps_cap):
+        draws.append((n, len(rngs)))
+        return stacked(rngs, n, eps_cap)
+
+    monkeypatch.setattr(sl, "random_near_scaled", counted)
+    sl.closure_harness(trials=40, ns=(2, 3, 5, 8), seed=0)
+    assert draws == [(2, 10), (3, 10), (5, 10), (8, 10)]
+
+
+def test_normalization_maps_act_slice_by_slice_on_stacks():
+    rng = np.random.default_rng(8)
+    stack = rng.uniform(0.1, 2.0, (6, 4, 4))
+    for fn in (sl.row_fn, sl.col_fn, sl.f_map, sl.g_map):
+        assert np.array_equal(fn(stack), [fn(a) for a in stack])
+    errs = marginal_error(stack)
+    assert errs.shape == (6,) and list(errs) == [marginal_error(a) for a in stack]
+    sf, sg = sl.normalization_mu_shifts(stack)
+    assert list(zip(sf, sg)) == [sl.normalization_mu_shifts(a) for a in stack]
+    # one matrix keeps plain float results
+    assert type(marginal_error(stack[0])) is float
+    assert all(type(s) is float for s in sl.normalization_mu_shifts(stack[0]))
+    with pytest.raises(ValueError):
+        sl.row_fn(np.ones((3, 2, 3)))
+    with pytest.raises(ValueError):
+        marginal_error(np.ones(4))
+    with pytest.raises(ValueError):
+        sl.log_max_cross_ratio(stack)
 
 
 def test_harnesses_small_runs_clean():

@@ -231,6 +231,12 @@ def test_apply_plan_row_rescales():
     np.testing.assert_allclose(out, [0.2, 0.8])
 
 
+def test_apply_plan_rejects_non_finite_plan():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            apply_plan(np.array([[bad, 1.0], [1.0, 1.0]]), np.array([0.0, 1.0]))
+
+
 def test_apply_plan_rejects_zero_row():
     with pytest.raises(DegeneratePlanRowError):
         apply_plan(np.array([[0.0, 0.0], [0.5, 0.5]]), np.array([1.0, 2.0]))
