@@ -14,6 +14,7 @@ from . import dual_descent as dd
 from . import sinkhorn_lab as sl
 from .oracles import finite_diff_grad
 from .problem import ProblemInstance, cost_matrix, permutation_instance
+from .prompt import read_dual
 from .transformer_core import AttentionHead, LayerWeights, build_constructed_weights, forward
 
 
@@ -60,6 +61,25 @@ def _random_instance(rng: np.random.Generator, n: int, d: int, lam: float) -> Pr
     return ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam)
 
 
+def _forward_deviation(inst: ProblemInstance, depth: int, weights: LayerWeights, gamma: float) -> float:
+    """max |duals(layer ell) - iterate ell| over ell = 1..depth, each layer
+    compared with one gd_step as the pass makes it."""
+    C = cost_matrix(inst)
+    it = dd.zero_iterate(inst.n)
+    worst = 0.0
+
+    def compare(ell, state):
+        nonlocal it, worst
+        if ell:
+            it = dd.gd_step(C, it, inst.lam, gamma)
+            u, v = read_dual(state)
+            diff = max(np.abs(u - it.u).max(), np.abs(v - it.v).max())
+            worst = max(worst, diff)
+
+    forward(inst, depth, weights, observe=compare)
+    return worst
+
+
 def check_gd_equivalence(
     ns: tuple[int, ...] = (2, 4, 8),
     ds: tuple[int, ...] = (1, 2),
@@ -85,14 +105,7 @@ def check_gd_equivalence(
                 for seed in range(n_seeds):
                     rng = np.random.default_rng((seed, n, d, int(lam * 1000)))
                     inst = _random_instance(rng, n, d, lam)
-                    C = cost_matrix(inst)
-                    trace = forward(inst, depth, weights=cache[key])
-                    it = dd.zero_iterate(n)
-                    for ell in range(1, depth + 1):
-                        it = dd.gd_step(C, it, lam, gamma)
-                        u, v = trace.duals(ell)
-                        diff = max(np.abs(u - it.u).max(), np.abs(v - it.v).max())
-                        worst = max(worst, diff)
+                    worst = max(worst, _forward_deviation(inst, depth, cache[key], gamma))
                     cases += 1
     return CheckResult(
         name="gd_equivalence",

@@ -18,16 +18,16 @@ from . import __version__, checks
 from . import dual_descent as dd
 from . import io as otio
 from . import sinkhorn_lab as sl
-from .logdomain import log_kernel, marginal_error
+from .logdomain import marginal_error
 from .oracles import sort_oracle
 from .problem import ProblemInstance, cost_matrix, permutation_instance, sorting_instance
 from .transformer_core import (
-    _RESET_GUARD,
     DegeneratePlanRowError,
-    ForwardTrace,
+    DivergenceError,
     apply_plan,
     attention_pattern,
     build_constructed_weights,
+    divergence_guard,
     forward,
     save_weights,
 )
@@ -119,31 +119,6 @@ def _manifest(out: Path, command: str, cfg: dict, metrics: dict, outputs: list[s
     )
 
 
-def _divergence(trace: ForwardTrace, C: np.ndarray, lam: float) -> str | None:
-    """Why the pass diverged, naming the first bad layer; None if no layer is.
-
-    A layer is bad once a dual reaches the feedforward's reset guard (from
-    there the layer no longer performs a descent step), or once its plan is
-    too large to measure: a kernel entry exp((u_i + v_j - C_ij)/lam - 1) above
-    sqrt(largest float)/n, where the plan's squared Frobenius norm may
-    overflow. The O(n) bound (max u + max v - min C)/lam - 1 on the log
-    entries clears almost every layer, so the n^2 logits are formed only for
-    the layers it does not clear.
-    """
-    log_cap = 0.5 * np.log(np.finfo(float).max) - np.log(C.shape[0])
-    c_min = C.min()
-    for ell in range(len(trace.states)):
-        u, v = trace.duals(ell)
-        u_max, v_max = u.max(), v.max()
-        if not max(u_max, v_max, -u.min(), -v.min()) < _RESET_GUARD:  # also catches NaN duals
-            return f"duals reach the reset guard {_RESET_GUARD:.0e} at layer {ell}"
-        if (u_max + v_max - c_min) / lam - 1.0 <= log_cap:
-            continue
-        if not log_kernel(C, u, v, lam).max() <= log_cap:
-            return f"attention kernel exceeds {np.exp(log_cap):.0e} at layer {ell}"
-    return None
-
-
 def _cmd_forward(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _resolve(args, {
@@ -171,10 +146,10 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     for n in ns:
         inst = _instance(n, d, seed, lam)
         C = cost_matrix(inst)
-        trace = forward(inst, depth, weights=weights)
-        why = _divergence(trace, C, lam)
-        if why is not None:
-            print(f"n={n}: {why}; the run diverged", file=sys.stderr)
+        try:
+            trace = forward(inst, depth, weights, checkpoints=marks, observe=divergence_guard(C, lam))
+        except DivergenceError as exc:
+            print(f"n={n}: {exc}; the run diverged", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         try:
             ref = sl.sinkhorn_solve(sl.gibbs_kernel(C, lam))
@@ -184,7 +159,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
         prefix = "" if len(ns) == 1 else f"n{n}_"
         per_layer = {}
         for k in marks:
-            pattern = attention_pattern(trace.states[k], weights.heads[0], "raw_kernel")
+            pattern = attention_pattern(trace.state(k), weights.heads[0], "raw_kernel")
             per_layer[str(k)] = {
                 "eps_star": marginal_error(pattern),
                 "frobenius_to_fixed_point": float(np.linalg.norm(pattern - ref.plan)),
@@ -223,14 +198,15 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     x = np.array(_as_float_list(cfg["x"]))
     lam, gamma, depth = _as_float(cfg["lambda"]), _as_float(cfg["gamma"]), _as_int(cfg["depth"])
     inst = sorting_instance(x, lam)
-    trace = forward(inst, depth, weights=build_constructed_weights(inst.d, lam, gamma))
-    why = _divergence(trace, cost_matrix(inst), lam)
-    if why is not None:
-        print(f"n={inst.n}: {why}; the run diverged", file=sys.stderr)
+    weights = build_constructed_weights(inst.d, lam, gamma)
+    try:
+        trace = forward(inst, depth, weights, observe=divergence_guard(cost_matrix(inst), lam))
+    except DivergenceError as exc:
+        print(f"n={inst.n}: {exc}; the run diverged", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     # head 2's kernel block is the transposed plan, whose barycentric image of
     # x lands each rank at its sorted position
-    plan_t = attention_pattern(trace.states[-1], trace.weights.heads[1], "raw_kernel")
+    plan_t = attention_pattern(trace.states[-1], weights.heads[1], "raw_kernel")
     try:
         estimate = apply_plan(plan_t, x)
     except DegeneratePlanRowError:
@@ -378,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except DivergenceError as exc:
+        print(f"otlab: {exc}; the run diverged", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except (ValueError, OSError) as exc:
         print(f"otlab: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -52,7 +52,8 @@ def brute_force_ot(C: np.ndarray) -> PermutationPlan:
         i = int(costs.argmin())
         if costs[i] < best_cost:  # strict: first minimizer is lexicographically smallest
             best, best_cost = tuple(int(j) for j in perms[i]), costs[i]
-    assert best is not None
+    if best is None:
+        raise ValueError("no permutation has a finite cost")
     return PermutationPlan(perm=best, cost=float(best_cost) / n)
 
 

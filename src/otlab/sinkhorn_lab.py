@@ -120,14 +120,11 @@ def log_max_cross_ratio(logQ: np.ndarray) -> float:
     return best
 
 
-def contraction_factor_from_log(log_phi: float) -> float:
-    # (sqrt(phi)-1)/(sqrt(phi)+1) == tanh(log(phi)/4); immune to phi overflow
-    return float(np.tanh(log_phi / 4.0))
-
-
 def contraction_factor(gk: GibbsKernel) -> float:
-    """Birkhoff contraction factor of one half-sweep through the kernel."""
-    return contraction_factor_from_log(log_max_cross_ratio(gk.logQ))
+    """Birkhoff contraction factor (sqrt(phi) - 1)/(sqrt(phi) + 1) of one
+    half-sweep through the kernel, phi its max cross ratio; computed as
+    tanh(log(phi)/4), which is immune to phi overflow."""
+    return float(np.tanh(log_max_cross_ratio(gk.logQ) / 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +177,8 @@ def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 
     tol is the plan exponentiated and checked densely; the returned plan
     always passes the dense check.
     """
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     if tol is None:
         tol = 1e-12 if gk.lam >= 0.05 else 1e-8
     n = gk.n
@@ -299,13 +298,6 @@ def random_near_scaled(rngs: list[np.random.Generator], n: int, eps_cap: float) 
     if not (eps_star < eps_cap).all():
         raise AssertionError("perturbation sizing failed to stay inside the ball")
     return P, eps_star
-
-
-def boundary_member(n: int, eps: float) -> np.ndarray:
-    """Uniform plan with one row pushed to marginal error exactly eps."""
-    A = np.full((n, n), 1.0 / n**2)
-    A[0, :] += eps / n
-    return A
 
 
 def _harness(trials: int, ns: tuple[int, ...], seed: int, k: float, ratios) -> dict:

@@ -31,12 +31,15 @@ matrix set solves every instance size.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
 from . import dual_descent as dd
+from .logdomain import log_kernel
 from .problem import ProblemInstance, cost_matrix
 from .prompt import HiddenState, PromptLayout, build_prompt, read_dual, with_duals
 
@@ -45,6 +48,17 @@ _RESET_GUARD = 1e8
 
 class DegeneratePlanRowError(ValueError):
     pass
+
+
+class DivergenceError(ArithmeticError):
+    """The pass left the regime where a layer is a descent step, or a plan
+    read from a state is too large to measure."""
+
+
+def _log_kernel_cap(n: int) -> float:
+    # log of sqrt(largest float)/n: a kernel entry above it may overflow the
+    # plan's squared Frobenius norm
+    return 0.5 * np.log(np.finfo(float).max) - np.log(n)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,12 +102,18 @@ def attention(Z: np.ndarray, Qs: np.ndarray, Wvs: np.ndarray) -> np.ndarray:
 
 def attention_pattern(state: HiddenState, head: AttentionHead, variant: str = "softmax") -> np.ndarray:
     """Either the full (n+1)^2 row-softmax or the raw n x n kernel block
-    exp(logits), which on a constructed head equals M at the current duals."""
+    exp(logits), which on a constructed head equals M at the current duals.
+    A kernel entry above sqrt(largest float)/n raises DivergenceError, the
+    bound `divergence_guard` holds every layer's kernel to."""
     logits = state.Z @ head.Q @ state.Z.T
     if variant == "softmax":
         return _softmax_rows(logits)
     if variant == "raw_kernel":
-        return np.exp(logits[: state.n, : state.n])
+        block = logits[: state.n, : state.n]
+        log_cap = _log_kernel_cap(state.n)
+        if not block.max() <= log_cap:  # also catches NaN logits
+            raise DivergenceError(f"attention kernel exceeds {np.exp(log_cap):.0e}")
+        return np.exp(block)
     raise ValueError(f"unknown pattern variant {variant!r}")
 
 
@@ -218,41 +238,93 @@ def _probe_check(weights: LayerWeights) -> None:
         raise ValueError("auxiliary dual scratch was not cleared")
 
 
+def divergence_guard(C: np.ndarray, lam: float) -> Callable[[int, HiddenState], None]:
+    """An observer for `forward` that raises DivergenceError at the first bad
+    layer of a pass over the instance with cost matrix C.
+
+    A layer is bad once a dual reaches the feedforward's reset guard (from
+    there the layer no longer performs a descent step), or once its plan is
+    too large to measure: a kernel entry exp((u_i + v_j - C_ij)/lam - 1) above
+    sqrt(largest float)/n. The O(n) bound (max u + max v - min C)/lam - 1 on
+    the log entries clears almost every layer, so the n^2 logits are formed
+    only for the layers it does not clear.
+    """
+    log_cap = _log_kernel_cap(C.shape[0])
+    c_min = C.min()
+
+    def check(ell: int, state: HiddenState) -> None:
+        u, v = read_dual(state)
+        u_max, v_max = u.max(), v.max()
+        if not max(u_max, v_max, -u.min(), -v.min()) < _RESET_GUARD:  # also catches NaN duals
+            raise DivergenceError(f"duals reach the reset guard {_RESET_GUARD:.0e} at layer {ell}")
+        if (u_max + v_max - c_min) / lam - 1.0 > log_cap and not log_kernel(C, u, v, lam).max() <= log_cap:
+            raise DivergenceError(f"attention kernel exceeds {np.exp(log_cap):.0e} at layer {ell}")
+
+    return check
+
+
 @dataclasses.dataclass
 class ForwardTrace:
-    """Hidden states of a full forward pass: states[ell] holds the duals after
-    exactly ell descent steps. A layer's plan is read from its state with
-    `attention_pattern(states[ell], head, variant)`.
+    """The hidden states a forward pass kept: states[i] holds the duals after
+    exactly layers[i] descent steps, in increasing layer order, and
+    states[-1] is always the final layer. A layer's plan is read from its
+    state with `attention_pattern(trace.state(ell), head, variant)`.
     """
 
     states: list[HiddenState]
+    layers: list[int]
     weights: LayerWeights
     # No patterns are kept. bench/ still reads these two names and passes
     # forward's pattern flag as False; the next benchmark change drops both.
     softmax_patterns = None
     kernel_patterns = None
 
+    def state(self, ell: int) -> HiddenState:
+        i = bisect.bisect_left(self.layers, ell)
+        if i == len(self.layers) or self.layers[i] != ell:
+            raise LookupError(f"layer {ell} was not kept; pass it in forward's checkpoints")
+        return self.states[i]
+
     def duals(self, ell: int) -> tuple[np.ndarray, np.ndarray]:
-        return read_dual(self.states[ell])
+        return read_dual(self.state(ell))
 
 
 def forward(
     inst: ProblemInstance,
     depth: int,
     weights: LayerWeights,
+    checkpoints: Iterable[int] = (),
+    observe: Callable[[int, HiddenState], None] | None = None,
     record_patterns: bool = False,
 ) -> ForwardTrace:
     """Run `depth` layers of `weights` on the instance's prompt; a constructed
-    set is n-independent, so one set serves every instance of its d."""
+    set is n-independent, so one set serves every instance of its d.
+
+    The pass streams: it holds one state at a time and keeps only those of
+    the layers in `checkpoints` and the final one. `observe(ell, state)`, if
+    given, sees every state as soon as it is made, prompt (ell = 0) included;
+    an exception it raises ends the pass (see `divergence_guard`).
+    """
     if record_patterns:
         raise ValueError("forward keeps states only; read patterns with attention_pattern")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    keep = set(checkpoints)
+    if any(not 0 <= k <= depth for k in keep):
+        raise ValueError(f"checkpoints must lie in [0, {depth}]")
+    keep.add(depth)
 
-    states = [build_prompt(inst)]
-    for _ in range(depth):
-        states.append(layer_forward(states[-1], weights))
-    return ForwardTrace(states=states, weights=weights)
+    states, layers = [], []
+    state = build_prompt(inst)
+    for ell in range(depth + 1):
+        if ell:
+            state = layer_forward(state, weights)
+        if observe is not None:
+            observe(ell, state)
+        if ell in keep:
+            states.append(state)
+            layers.append(ell)
+    return ForwardTrace(states=states, layers=layers, weights=weights)
 
 
 def apply_plan(pattern: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -40,12 +40,12 @@ def shared_weights():
 
 @pytest.fixture(scope="module")
 def trace4(shared_weights):
-    return forward(permutation_instance(4, 0, LAM), DEPTH, weights=shared_weights)
+    return forward(permutation_instance(4, 0, LAM), DEPTH, shared_weights, checkpoints=CHECKPOINTS)
 
 
 def _kernel(trace, ell):
     # head 1's kernel block at layer ell: the plan the forward pass holds there
-    return attention_pattern(trace.states[ell], trace.weights.heads[0], "raw_kernel")
+    return attention_pattern(trace.state(ell), trace.weights.heads[0], "raw_kernel")
 
 
 @pytest.fixture(scope="module")

@@ -66,7 +66,7 @@ def test_forward_writes_expected_artifacts(tmp_path, capsys):
     assert "marginal error" in capsys.readouterr().out
     # each export is head 1's kernel block read from that layer's state
     w = tc.build_constructed_weights(1, 0.005, 0.01)
-    trace = tc.forward(permutation_instance(4, 0, 0.005), 60, weights=w)
+    trace = tc.forward(permutation_instance(4, 0, 0.005), 60, w, checkpoints=range(61))
     for k in (1, 30, 60):
         A = read_matrix_csv(out / f"A_{k:04d}.csv")
         assert A.shape == (4, 4)
@@ -98,6 +98,35 @@ def test_forward_keeps_states_only(capsys):
     with pytest.raises(ValueError):
         tc.forward(permutation_instance(3, 0, 0.5), 2, weights=tc.build_constructed_weights(1, 0.5, 0.1),
                    record_patterns=True)
+
+
+def test_forward_peak_memory_is_flat_in_depth(capsys):
+    """The pass streams: four times the depth costs no more memory, where
+    keeping every state cost 45.7 MiB at depth 8000 against 11.6 at 2000."""
+    peaks = {}
+    for depth in (2000, 8000):
+        tracemalloc.start()
+        try:
+            assert main(["forward", "--n", "64", "--depth", str(depth)]) == 0
+            peaks[depth] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8000] - peaks[2000] < 2**20, peaks
+
+
+def test_diverged_forward_stops_at_its_first_bad_layer(monkeypatch, capsys):
+    # the kernel overflows at layer 2; one more call is the weights' probe check
+    calls = []
+    real = tc.layer_forward
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(tc, "layer_forward", counted)
+    assert main(["forward", "--gamma", "1e6", "--depth", "2000"]) == 3
+    assert len(calls) <= 3
+    assert capsys.readouterr().err == "n=4: attention kernel exceeds 3e+153 at layer 2; the run diverged\n"
 
 
 def test_forward_multi_n_prefixes_files(tmp_path):
@@ -147,6 +176,7 @@ def test_sort_requires_x(capsys):
         ["gd", "--gamma", "0"],
         ["gd", "--gamma", "inf"],  # ran to NaN duals and exited 0
         ["gd", "--depth", "-1"],
+        ["sinkhorn", "--max-sweeps", "0"],  # exited 3 "within 0 sweeps (reached inf)"
     ],
 )
 def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
@@ -192,14 +222,15 @@ def test_sort_zero_row_plan_exits_3(capsys):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    command=st.sampled_from(["sort", "forward"]),
+    command=st.sampled_from(["sort", "forward", "gd", "sinkhorn"]),
     xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
     log_gamma=st.floats(-3.0, 8.0),
     log_lam=st.floats(-6.0, 9.0),
     depth=st.integers(0, 50),
     seed=st.integers(0, 2**16),
+    max_sweeps=st.integers(1, 2000),
 )
-def test_run_exits_0_or_3_with_one_line(command, xs, log_gamma, log_lam, depth, seed):
+def test_run_exits_0_or_3_with_one_line(command, xs, log_gamma, log_lam, depth, seed, max_sweeps):
     """Any parameters the weight construction accepts either give a result
     or a one-line non-convergence report, never a usage error or a float
     warning (pytest makes those errors)."""
@@ -209,10 +240,13 @@ def test_run_exits_0_or_3_with_one_line(command, xs, log_gamma, log_lam, depth, 
     except ValueError:
         assume(False)
     common = ["--lambda", repr(lam), "--gamma", repr(gamma), "--depth", str(depth)]
+    instance = ["--n", str(len(xs)), "--seed", str(seed)]
     if command == "sort":
         argv = ["sort", "--x", ",".join(map(repr, xs)), *common]
+    elif command == "sinkhorn":
+        argv = ["sinkhorn", *instance, "--lambda", repr(lam), "--max-sweeps", str(max_sweeps)]
     else:
-        argv = ["forward", "--n", str(len(xs)), "--seed", str(seed), *common]
+        argv = [command, *instance, *common]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)

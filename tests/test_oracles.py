@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import otlab
 from otlab.oracles import (
     MAX_BRUTE_FORCE_N,
     DegeneratePlanError,
@@ -43,6 +48,25 @@ def test_brute_force_tie_break_is_lexicographic():
 def test_brute_force_rejects_large_n():
     with pytest.raises(ValueError):
         brute_force_ot(np.zeros((10, 10)))
+
+
+def test_brute_force_rejects_all_infinite_costs():
+    """No permutation with a finite cost is a one-line ValueError, also under
+    python -O, which strips asserts (it returned perm None there)."""
+    with pytest.raises(ValueError, match="finite cost"):
+        brute_force_ot(np.full((2, 2), np.inf))
+    code = (
+        "import numpy as np\n"
+        "from otlab.oracles import brute_force_ot\n"
+        "try:\n"
+        "    print(brute_force_ot(np.full((2, 2), np.inf)))\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"
+    )
+    src = str(Path(otlab.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "ValueError: no permutation has a finite cost\n"
 
 
 def test_brute_force_matches_hungarian_cost():

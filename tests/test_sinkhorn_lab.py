@@ -68,7 +68,8 @@ def test_marginal_error_and_membership():
     n = 4
     A = np.full((n, n), 1.0 / n**2)
     assert marginal_error(A) == 0.0
-    B = sl.boundary_member(n, 0.01)
+    B = A.copy()
+    B[0, :] += 0.01 / n  # one row pushed to marginal error exactly 0.01
     assert marginal_error(B) == pytest.approx(0.01, rel=1e-12)
     with pytest.raises(ValueError):
         marginal_error(np.ones((2, 3)))
@@ -129,10 +130,12 @@ def test_cross_ratio_matches_brute_force():
 
 
 def test_contraction_factor_identity():
-    # tanh(log(phi)/4) must equal (sqrt(phi)-1)/(sqrt(phi)+1)
+    # tanh(log(phi)/4) must equal (sqrt(phi)-1)/(sqrt(phi)+1); the 2 x 2
+    # kernel with log Q = [[log phi, 0], [0, 0]] has cross ratio phi
     for phi in (1.0, 1.5, 7.0, 1e8):
         direct = (math.sqrt(phi) - 1) / (math.sqrt(phi) + 1)
-        assert sl.contraction_factor_from_log(math.log(phi)) == pytest.approx(direct, rel=1e-12)
+        gk = sl.GibbsKernel(logQ=np.array([[math.log(phi), 0.0], [0.0, 0.0]]), lam=1.0)
+        assert sl.contraction_factor(gk) == pytest.approx(direct, rel=1e-12)
 
 
 def test_contraction_factor_survives_tiny_lam():

@@ -21,9 +21,11 @@ from otlab.prompt import build_prompt
 from otlab.transformer_core import (
     AttentionHead,
     DegeneratePlanRowError,
+    DivergenceError,
     apply_plan,
     attention_pattern,
     build_constructed_weights,
+    divergence_guard,
     forward,
     layer_forward,
     load_weights,
@@ -75,7 +77,7 @@ def test_single_layer_is_one_descent_step():
 def test_forward_tracks_oracle_at_every_prefix():
     inst = permutation_instance(4, 3, 0.2)
     gamma = 0.15
-    trace = forward(inst, 8, weights=build_constructed_weights(inst.d, inst.lam, gamma))
+    trace = forward(inst, 8, build_constructed_weights(inst.d, inst.lam, gamma), checkpoints=range(9))
     oracle = _oracle_duals(inst, 8, gamma)
     for ell in range(9):
         u, v = trace.duals(ell)
@@ -83,9 +85,80 @@ def test_forward_tracks_oracle_at_every_prefix():
         np.testing.assert_allclose(v, oracle[ell].v, atol=1e-12)
 
 
+def test_trace_keeps_only_checkpoints_and_the_final_layer():
+    inst = permutation_instance(4, 0, 0.5)
+    w = build_constructed_weights(1, 0.5, 0.1)
+    full = forward(inst, 10, w, checkpoints=range(11))
+    trace = forward(inst, 10, w, checkpoints=[7, 2, 2])
+    assert trace.layers == [2, 7, 10] and len(trace.states) == 3
+    for ell in trace.layers:
+        np.testing.assert_array_equal(trace.state(ell).Z, full.state(ell).Z)
+    assert trace.states[-1] is trace.state(10)
+    assert forward(inst, 10, w).layers == [10]
+    assert forward(inst, 0, w).layers == [0]
+    with pytest.raises(LookupError, match="^layer 5 was not kept"):
+        trace.duals(5)
+    for bad in ([11], [-1]):
+        with pytest.raises(ValueError, match="checkpoints"):
+            forward(inst, 10, w, checkpoints=bad)
+
+
+def test_observer_sees_every_layer_and_its_exception_ends_the_pass(monkeypatch):
+    inst = permutation_instance(4, 0, 0.5)
+    w = build_constructed_weights(1, 0.5, 0.1)
+    full = forward(inst, 6, w, checkpoints=range(7))
+    seen = []
+    forward(inst, 6, w, observe=lambda ell, state: seen.append((ell, state.Z)))
+    assert [ell for ell, _ in seen] == list(range(7))
+    for ell, Z in seen:
+        np.testing.assert_array_equal(Z, full.state(ell).Z)
+
+    calls = []
+    real = tc.layer_forward
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    class Stop(Exception):
+        pass
+
+    def stop_at_3(ell, state):
+        if ell == 3:
+            raise Stop
+
+    monkeypatch.setattr(tc, "layer_forward", counted)
+    with pytest.raises(Stop):
+        forward(inst, 50, w, observe=stop_at_3)
+    assert len(calls) == 3
+
+
+def test_divergence_guard_names_the_first_bad_layer():
+    # lam = 1e-6: head 1's kernel overflows at layer 2 (and again at 7, 12, ...)
+    inst = permutation_instance(4, 0, 1e-6)
+    w = build_constructed_weights(1, 1e-6, 0.01)
+    with pytest.raises(DivergenceError, match="^attention kernel exceeds 3e\\+153 at layer 2$"):
+        forward(inst, 50, w, observe=divergence_guard(cost_matrix(inst), 1e-6))
+    # duals pass the feedforward's reset guard at layer 5
+    inst = permutation_instance(4, 0, 1e9)
+    w = build_constructed_weights(1, 1e9, 5e7)
+    with pytest.raises(DivergenceError, match="^duals reach the reset guard 1e\\+08 at layer 5$"):
+        forward(inst, 200, w, observe=divergence_guard(cost_matrix(inst), 1e9))
+
+
+def test_raw_kernel_beyond_the_bound_raises_divergence_error():
+    # the read-out at layer 2 exponentiated logits past exp's range: an
+    # overflow warning and an inf plan
+    inst = permutation_instance(4, 0, 1e-6)
+    w = build_constructed_weights(1, 1e-6, 0.01)
+    state = forward(inst, 50, w, checkpoints=[2]).state(2)
+    with pytest.raises(DivergenceError, match="^attention kernel exceeds 3e\\+153$"):
+        attention_pattern(state, w.heads[0], "raw_kernel")
+
+
 def test_aux_row_scratch_is_bit_exact_zero():
     inst = permutation_instance(6, 1, 0.05)
-    trace = forward(inst, 40, weights=build_constructed_weights(inst.d, inst.lam, 0.02))
+    trace = forward(inst, 40, build_constructed_weights(inst.d, inst.lam, 0.02), checkpoints=range(41))
     lay = trace.states[0].layout
     for state in trace.states:
         assert state.Z[6, lay.u] == 0.0
@@ -94,7 +167,7 @@ def test_aux_row_scratch_is_bit_exact_zero():
 
 def test_static_prompt_columns_never_move():
     inst = permutation_instance(3, 5, 0.5)
-    trace = forward(inst, 30, weights=build_constructed_weights(inst.d, inst.lam, 0.1))
+    trace = forward(inst, 30, build_constructed_weights(inst.d, inst.lam, 0.1), checkpoints=range(31))
     first, last = trace.states[0].Z, trace.states[-1].Z
     lay = trace.states[0].layout
     static = [lay.xsq, lay.ysq, lay.marker, lay.spare, *lay.ones]
@@ -174,7 +247,7 @@ def test_layer_makes_one_attention_call(monkeypatch):
 
 def test_raw_kernel_pattern_is_dual_kernel():
     inst = permutation_instance(5, 2, 0.3)
-    trace = forward(inst, 12, weights=build_constructed_weights(inst.d, inst.lam, 0.08))
+    trace = forward(inst, 12, build_constructed_weights(inst.d, inst.lam, 0.08), checkpoints=range(13))
     C = cost_matrix(inst)
     for ell in (0, 5, 12):
         u, v = trace.duals(ell)
@@ -186,7 +259,7 @@ def test_raw_kernel_pattern_is_dual_kernel():
 
 def test_softmax_pattern_rows_are_distributions():
     inst = permutation_instance(4, 1, 0.5)
-    trace = forward(inst, 4, weights=build_constructed_weights(inst.d, inst.lam, 0.1))
+    trace = forward(inst, 4, build_constructed_weights(inst.d, inst.lam, 0.1), checkpoints=range(5))
     A = attention_pattern(trace.states[2], trace.weights.heads[0], "softmax")
     assert A.shape == (5, 5)  # softmax runs over all n+1 tokens
     assert np.all(A > 0)
