@@ -15,7 +15,7 @@ from . import sinkhorn_lab as sl
 from .oracles import finite_diff_grad
 from .problem import ProblemInstance, cost_matrix, permutation_instance
 from .prompt import read_dual
-from .transformer_core import AttentionHead, LayerWeights, build_constructed_weights, forward
+from .transformer_core import LayerWeights, build_constructed_weights, forward
 
 
 def _native(x):
@@ -51,8 +51,9 @@ class CheckResult:
 
 def _flip_first_value_sign(weights: LayerWeights) -> LayerWeights:
     # deliberate fault injection: ascend instead of descend on u
-    h1, h2 = weights.heads
-    return dataclasses.replace(weights, heads=(AttentionHead(Q=h1.Q, Wv=-h1.Wv), h2))
+    Wvs = weights.Wvs.copy()
+    Wvs[0] = -Wvs[0]
+    return dataclasses.replace(weights, Wvs=Wvs)
 
 
 def _random_instance(rng: np.random.Generator, n: int, d: int, lam: float) -> ProblemInstance:

@@ -87,14 +87,10 @@ def _as_float(x) -> float:
 
 
 def _as_int_list(x) -> list[int]:
-    if isinstance(x, (list, tuple)):
-        return [int(v) for v in x]
     return [int(tok) for tok in str(x).split(",") if tok.strip() != ""]
 
 
 def _as_float_list(x) -> list[float]:
-    if isinstance(x, (list, tuple)):
-        return [float(v) for v in x]
     return [float(tok) for tok in str(x).split(",") if tok.strip() != ""]
 
 
@@ -137,8 +133,6 @@ def _cmd_forward(args: argparse.Namespace) -> int:
             return EXIT_USAGE
 
     out = Path(cfg["out"]) if cfg["out"] else None
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
     weights = build_constructed_weights(d, lam, gamma)
     outputs: list[str] = []
     metrics: dict = {"per_n": {}}
@@ -157,6 +151,8 @@ def _cmd_forward(args: argparse.Namespace) -> int:
             print(f"reference scaling did not converge: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         prefix = "" if len(ns) == 1 else f"n{n}_"
+        if out:  # made only once there is something to write into it
+            out.mkdir(parents=True, exist_ok=True)
         per_layer = {}
         for k in marks:
             pattern = attention_pattern(trace.state(k), weights.heads[0], "raw_kernel")

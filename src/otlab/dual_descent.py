@@ -28,7 +28,6 @@ from .logdomain import log_kernel, lse
 class DualIterate:
     u: np.ndarray
     v: np.ndarray
-    step: int = 0
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -44,7 +43,7 @@ class DualIterate:
 
 
 def zero_iterate(n: int) -> DualIterate:
-    return DualIterate(u=np.zeros(n), v=np.zeros(n), step=0)
+    return DualIterate(u=np.zeros(n), v=np.zeros(n))
 
 
 def _log_sums(C: np.ndarray, it: DualIterate, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -82,7 +81,7 @@ def _stepped(it: DualIterate, log_rs: np.ndarray, log_cs: np.ndarray, gamma: flo
     n = it.u.shape[0]
     u = it.u - gamma * _step_ratio(log_rs, n)
     v = it.v - gamma * _step_ratio(log_cs, n)
-    return DualIterate(u=u, v=v, step=it.step + 1)
+    return DualIterate(u=u, v=v)
 
 
 def gd_step(C: np.ndarray, it: DualIterate, lam: float, gamma: float) -> DualIterate:

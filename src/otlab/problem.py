@@ -8,7 +8,6 @@ entropic regularization weight lambda.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 
@@ -111,23 +110,3 @@ def sorting_instance(values, lam: float = 0.005) -> ProblemInstance:
     grid = (1.0 + np.arange(x.size)) / x.size
     return ProblemInstance(x=x, y=grid, lam=lam)
 
-
-def instance_to_json(inst: ProblemInstance) -> str:
-    return json.dumps(
-        {
-            "n": inst.n,
-            "d": inst.d,
-            "lambda": inst.lam,
-            "x": inst.x.tolist(),
-            "y": inst.y.tolist(),
-        },
-        indent=2,
-    )
-
-
-def instance_from_json(text: str) -> ProblemInstance:
-    obj = json.loads(text)
-    inst = ProblemInstance(x=np.array(obj["x"], dtype=float), y=np.array(obj["y"], dtype=float), lam=float(obj["lambda"]))
-    if inst.n != obj["n"] or inst.d != obj["d"]:
-        raise ValueError("declared n/d do not match point arrays")
-    return inst

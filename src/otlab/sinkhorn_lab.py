@@ -181,6 +181,8 @@ def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     if tol is None:
         tol = 1e-12 if gk.lam >= 0.05 else 1e-8
+    if not tol > 0:  # also catches NaN
+        raise ValueError(f"tol must be positive, got {tol}")
     n = gk.n
     logq = _f_update(gk.logQ, np.zeros(n))
     eps = np.inf
@@ -203,15 +205,13 @@ def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 
     raise SinkhornError(f"no convergence to {tol} within {max_sweeps} sweeps (reached {eps})", eps_star=float(eps))
 
 
-def contraction_history(gk: GibbsKernel, sweeps: int, reference: SinkhornResult | None = None) -> dict:
+def contraction_history(gk: GibbsKernel, sweeps: int, reference: SinkhornResult) -> dict:
     """Hilbert-metric distances of the sweep iterates to the fixed point.
 
     Entry m of mu_w / mu_q is the distance of log w / log q after m full
     sweeps from unit scalings (the raw kernel) to u / lam and v / lam of the
-    `reference` solution (default: solved here).
+    `reference` solution.
     """
-    if reference is None:
-        reference = sinkhorn_solve(gk)
     ref_logw, ref_logq = reference.u / gk.lam, reference.v / gk.lam
     logw = np.zeros(gk.n)
     logq = np.zeros(gk.n)

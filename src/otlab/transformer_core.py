@@ -69,21 +69,19 @@ class AttentionHead:
 
 @dataclasses.dataclass(frozen=True)
 class LayerWeights:
-    heads: tuple[AttentionHead, AttentionHead]
-    B: tuple[np.ndarray, np.ndarray]
+    # the two heads stacked on a leading axis, (2, width, width): the only copy
+    Qs: np.ndarray
+    Wvs: np.ndarray
+    Bs: np.ndarray
     Wf: np.ndarray
     d: int
     lam: float
     gamma: float
-    # heads stacked on a leading axis, (2, width, width); rebuilt on replace()
-    Qs: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
-    Wvs: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
-    Bs: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "Qs", np.stack([h.Q for h in self.heads]))
-        object.__setattr__(self, "Wvs", np.stack([h.Wv for h in self.heads]))
-        object.__setattr__(self, "Bs", np.stack(self.B))
+    @property
+    def heads(self) -> tuple[AttentionHead, AttentionHead]:
+        """Head h as views Qs[h], Wvs[h] of the stacks, not copies."""
+        return tuple(AttentionHead(Q=Q, Wv=Wv) for Q, Wv in zip(self.Qs, self.Wvs))
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -158,17 +156,15 @@ def build_constructed_weights(d: int, lam: float, gamma: float) -> LayerWeights:
     G[one_b, lay.v] = 1.0  # + v_j
     G[one_c, one_c] = -lam  # constant -lam => the -1 in the exponent
     # marker row/column stay zero so the auxiliary token scores 0 both ways
-    Q1 = G / lam
-    Q2 = Q1.T.copy()
+    Qs = np.stack([G / lam, G.T / lam])
 
     # value maps read the marker column into the dual scratch: data tokens
     # contribute -1, the auxiliary token +1/n — the negated gradient pieces
-    Wv1 = np.zeros((w, w))
-    Wv1[lay.marker, lay.u] = -1.0
-    Wv2 = np.zeros((w, w))
-    Wv2[lay.marker, lay.v] = -1.0
+    Wvs = np.zeros((2, w, w))
+    Wvs[0, lay.marker, lay.u] = -1.0
+    Wvs[1, lay.marker, lay.v] = -1.0
 
-    B = gamma * np.eye(w)
+    Bs = np.stack([gamma * np.eye(w)] * 2)
 
     # feedforward clears the auxiliary row's dual residue (see module docstring)
     Wf = np.zeros((w, w))
@@ -177,17 +173,10 @@ def build_constructed_weights(d: int, lam: float, gamma: float) -> LayerWeights:
     Wf[lay.v, lay.v] = -1.0
     Wf[one_c, lay.v] = -_RESET_GUARD
 
-    weights = LayerWeights(
-        heads=(AttentionHead(Q=Q1, Wv=Wv1), AttentionHead(Q=Q2, Wv=Wv2)),
-        B=(B, B.copy()),
-        Wf=Wf,
-        d=d,
-        lam=lam,
-        gamma=gamma,
-    )
-    for m in (Q1, Q2, Wv1, Wv2, B, Wf):
+    for m in (Qs, Wvs, Bs, Wf):
         if not np.isfinite(m).all():
             raise ValueError("constructed weights are not finite for these parameters")
+    weights = LayerWeights(Qs=Qs, Wvs=Wvs, Bs=Bs, Wf=Wf, d=d, lam=lam, gamma=gamma)
     _probe_check(weights)
     return weights
 
@@ -209,18 +198,17 @@ def _probe_check(weights: LayerWeights) -> None:
     C = cost_matrix(inst)
     lay = state.layout
 
-    logits = state.Z @ weights.heads[0].Q @ state.Z.T
+    logits = (state.Z @ weights.Qs) @ state.Z.T
     want = (-C + u[:, None] + v[None, :]) / lam - 1.0
     scale = max(1.0, np.abs(want).max())
-    if np.abs(logits[:n, :n] - want).max() > 1e-9 * scale:
+    if np.abs(logits[0, :n, :n] - want).max() > 1e-9 * scale:
         raise ValueError("constructed logits do not match the kernel exponents")
-    if logits[n, :].any() or logits[:, n].any():
+    if logits[0, n, :].any() or logits[0, :, n].any():
         raise ValueError("auxiliary token logits are not exactly zero")
-    logits2 = state.Z @ weights.heads[1].Q @ state.Z.T
-    if np.abs(logits2[:n, :n] - want.T).max() > 1e-9 * scale:
+    if np.abs(logits[1, :n, :n] - want.T).max() > 1e-9 * scale:
         raise ValueError("second head logits are not the transpose")
 
-    values = state.Z @ weights.heads[0].Wv
+    values = state.Z @ weights.Wvs[0]
     expect = np.zeros_like(values)
     expect[:, lay.u] = -state.Z[:, lay.marker]
     if not np.array_equal(values, expect):
@@ -344,22 +332,20 @@ def apply_plan(pattern: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (P @ x) / sums
 
 
+# weights.json key stem of each stack; head h is stored as stem + str(h + 1)
+_STACKS = {"Q": "Qs", "Wv": "Wvs", "B": "Bs"}
+
+
 def save_weights(weights: LayerWeights, path) -> None:
+    layer = {
+        f"{stem}{h + 1}": getattr(weights, field)[h].tolist() for stem, field in _STACKS.items() for h in (0, 1)
+    }
+    layer["Wf"] = weights.Wf.tolist()
     obj = {
         "d": weights.d,
         "lambda": weights.lam,
         "gamma": weights.gamma,
-        "layers": [
-            {
-                "Q1": weights.heads[0].Q.tolist(),
-                "Q2": weights.heads[1].Q.tolist(),
-                "Wv1": weights.heads[0].Wv.tolist(),
-                "Wv2": weights.heads[1].Wv.tolist(),
-                "B1": weights.B[0].tolist(),
-                "B2": weights.B[1].tolist(),
-                "Wf": weights.Wf.tolist(),
-            }
-        ],
+        "layers": [layer],
     }
     with open(path, "w") as fh:
         json.dump(obj, fh)
@@ -371,14 +357,9 @@ def load_weights(path) -> LayerWeights:
     if len(obj["layers"]) != 1:
         raise ValueError("expected a single shared layer")
     lw = obj["layers"][0]
-    arr = lambda key: np.array(lw[key], dtype=float)
     return LayerWeights(
-        heads=(
-            AttentionHead(Q=arr("Q1"), Wv=arr("Wv1")),
-            AttentionHead(Q=arr("Q2"), Wv=arr("Wv2")),
-        ),
-        B=(arr("B1"), arr("B2")),
-        Wf=arr("Wf"),
+        **{field: np.array([lw[stem + "1"], lw[stem + "2"]], dtype=float) for stem, field in _STACKS.items()},
+        Wf=np.array(lw["Wf"], dtype=float),
         d=int(obj["d"]),
         lam=float(obj["lambda"]),
         gamma=float(obj["gamma"]),

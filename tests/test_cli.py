@@ -177,6 +177,9 @@ def test_sort_requires_x(capsys):
         ["gd", "--gamma", "inf"],  # ran to NaN duals and exited 0
         ["gd", "--depth", "-1"],
         ["sinkhorn", "--max-sweeps", "0"],  # exited 3 "within 0 sweeps (reached inf)"
+        ["sinkhorn", "--tol", "-1"],  # each tol ran the whole sweep budget and exited 3
+        ["sinkhorn", "--tol", "0"],
+        ["sinkhorn", "--tol", "nan"],
     ],
 )
 def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
@@ -210,7 +213,7 @@ def test_diverged_run_exits_3_with_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "diverged" in err
     assert not caught
-    assert not out.exists() or not any(out.iterdir())  # nothing exported from the diverged run
+    assert not out.exists()  # nothing exported from the diverged run, not even its directory
 
 
 def test_sort_zero_row_plan_exits_3(capsys):

@@ -53,7 +53,7 @@ def test_gradients_are_marginal_defects(n, lam, seed):
     """grad_u = M 1 - 1/n and grad_v = M^T 1 - 1/n, against a dense exp."""
     rng = np.random.default_rng(seed)
     C = rng.uniform(0, 1, (n, n))
-    it = dd.DualIterate(u=rng.normal(0, 0.4, n), v=rng.normal(0, 0.4, n), step=0)
+    it = dd.DualIterate(u=rng.normal(0, 0.4, n), v=rng.normal(0, 0.4, n))
     M = _dense_kernel(C, it.u, it.v, lam)
     gu, gv = dd.gradients(C, it, lam)
     np.testing.assert_allclose(gu, M.sum(axis=1) - 1.0 / n, rtol=1e-12, atol=1e-14)
@@ -67,10 +67,10 @@ def test_gradients_agree_with_finite_differences():
     theta0 = rng.normal(0, 0.3, 2 * n)
 
     def obj(theta):
-        it = dd.DualIterate(u=theta[:n], v=theta[n:], step=0)
+        it = dd.DualIterate(u=theta[:n], v=theta[n:])
         return dd.dual_objective(C, it, lam)
 
-    it = dd.DualIterate(u=theta0[:n], v=theta0[n:], step=0)
+    it = dd.DualIterate(u=theta0[:n], v=theta0[n:])
     gu, gv = dd.gradients(C, it, lam)
     fd = finite_diff_grad(obj, theta0)
     np.testing.assert_allclose(np.concatenate([gu, gv]), fd, atol=2e-9)
@@ -80,20 +80,19 @@ def test_gd_step_matches_manual_update():
     rng = np.random.default_rng(5)
     n, lam, gamma = 4, 0.5, 0.2
     C = rng.uniform(0, 1, (n, n))
-    it = dd.DualIterate(u=rng.normal(0, 0.2, n), v=rng.normal(0, 0.2, n), step=3)
+    it = dd.DualIterate(u=rng.normal(0, 0.2, n), v=rng.normal(0, 0.2, n))
     M = _dense_kernel(C, it.u, it.v, lam)
     r, c = M.sum(axis=1), M.sum(axis=0)
     nxt = dd.gd_step(C, it, lam, gamma)
     np.testing.assert_allclose(nxt.u, it.u - gamma * (r - 1 / n) / (r + 1), rtol=1e-12)
     np.testing.assert_allclose(nxt.v, it.v - gamma * (c - 1 / n) / (c + 1), rtol=1e-12)
-    assert nxt.step == 4
 
 
 def test_gd_step_survives_kernel_overflow():
     """Row sums beyond float64 range: the defect/denominator ratio tends to 1,
     so the update must stay finite instead of producing inf/inf."""
     C = np.zeros((2, 2))
-    it = dd.DualIterate(u=np.array([800.0, 800.0]), v=np.zeros(2), step=0)
+    it = dd.DualIterate(u=np.array([800.0, 800.0]), v=np.zeros(2))
     nxt = dd.gd_step(C, it, 1.0, 0.1)
     assert np.all(np.isfinite(nxt.u)) and np.all(np.isfinite(nxt.v))
     np.testing.assert_allclose(nxt.u, it.u - 0.1, rtol=1e-12)
@@ -159,7 +158,7 @@ def test_smoothness_bound_dominates_hessian_norm():
         C = rng.uniform(0, 1, (n, n))
         theta = rng.normal(size=2 * n)
         theta *= rng.uniform(0, r) / np.linalg.norm(theta)
-        it = dd.DualIterate(u=theta[:n], v=theta[n:], step=0)
+        it = dd.DualIterate(u=theta[:n], v=theta[n:])
         H = dd.hessian(C, it, lam)
         assert np.linalg.norm(H, 2) <= zeta
 
@@ -169,12 +168,12 @@ def test_hessian_symmetric_psd_and_lam_scaling():
     n = 3
     C = rng.uniform(0, 1, (n, n))
     u, v = rng.normal(0, 0.2, n), rng.normal(0, 0.2, n)
-    H1 = dd.hessian(C, dd.DualIterate(u=u, v=v, step=0), 1.0)
+    H1 = dd.hessian(C, dd.DualIterate(u=u, v=v), 1.0)
     np.testing.assert_allclose(H1, H1.T, atol=1e-15)
     assert np.linalg.eigvalsh(H1).min() >= -1e-12
     # scaling C, u, v by lam leaves the kernel fixed, so H picks up exactly 1/lam
     lam = 2.5
-    H2 = dd.hessian(lam * C, dd.DualIterate(u=lam * u, v=lam * v, step=0), lam)
+    H2 = dd.hessian(lam * C, dd.DualIterate(u=lam * u, v=lam * v), lam)
     np.testing.assert_allclose(H2, H1 / lam, rtol=1e-12)
 
 
@@ -182,7 +181,7 @@ def test_hessian_blocks_are_kernel_marginals():
     rng = np.random.default_rng(4)
     n, lam = 3, 0.7
     C = rng.uniform(0, 1, (n, n))
-    it = dd.DualIterate(u=rng.normal(0, 0.1, n), v=rng.normal(0, 0.1, n), step=0)
+    it = dd.DualIterate(u=rng.normal(0, 0.1, n), v=rng.normal(0, 0.1, n))
     M = _dense_kernel(C, it.u, it.v, lam)
     H = dd.hessian(C, it, lam)
     np.testing.assert_allclose(H[:n, :n], np.diag(M.sum(axis=1)) / lam, rtol=1e-12)

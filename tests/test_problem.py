@@ -4,8 +4,6 @@ import pytest
 from otlab.problem import (
     ProblemInstance,
     cost_matrix,
-    instance_from_json,
-    instance_to_json,
     permutation_instance,
     seeded_permutation,
     sorting_instance,
@@ -95,21 +93,3 @@ def test_sorting_instance_targets_sorted_grid():
     np.testing.assert_array_equal(inst.x.ravel(), [0.5, 0.75, 0.25, 0.0])
     np.testing.assert_array_equal(inst.y.ravel(), np.sort(inst.y.ravel()))
     assert inst.lam == 0.01
-
-
-def test_json_round_trip():
-    inst = permutation_instance(5, 3, lam=0.02)
-    text = instance_to_json(inst)
-    assert '"lambda"' in text
-    back = instance_from_json(text)
-    np.testing.assert_array_equal(back.x, inst.x)
-    np.testing.assert_array_equal(back.y, inst.y)
-    assert back.lam == inst.lam
-
-
-def test_json_round_trip_d2():
-    rng = np.random.default_rng(0)
-    inst = ProblemInstance(x=rng.uniform(size=(3, 2)), y=rng.uniform(size=(3, 2)), lam=0.5)
-    back = instance_from_json(instance_to_json(inst))
-    np.testing.assert_array_equal(back.x, inst.x)
-    assert back.d == 2

@@ -8,6 +8,7 @@ dual columns must track the descent oracle to float64 resolution.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from otlab.logdomain import log_kernel
 from otlab.problem import ProblemInstance, cost_matrix, permutation_instance
 from otlab.prompt import build_prompt
 from otlab.transformer_core import (
-    AttentionHead,
     DegeneratePlanRowError,
     DivergenceError,
     apply_plan,
@@ -51,7 +51,7 @@ def test_weight_shapes_and_structure():
         assert h.Q.shape == (width, width)
         assert h.Wv.shape == (width, width)
     np.testing.assert_array_equal(w.heads[1].Q, w.heads[0].Q.T)
-    for B in w.B:
+    for B in w.Bs:
         np.testing.assert_array_equal(B, 0.1 * np.eye(width))
     assert w.Wf.shape == (width, width)
     assert (w.d, w.lam, w.gamma) == (2, 0.5, 0.1)
@@ -180,8 +180,7 @@ def test_flipped_value_sign_breaks_equivalence():
     of descending must diverge from the oracle immediately."""
     inst = permutation_instance(4, 0, 0.5)
     w = build_constructed_weights(1, 0.5, 0.1)
-    h1, h2 = w.heads
-    bad = dataclasses.replace(w, heads=(AttentionHead(Q=h1.Q, Wv=-h1.Wv), h2))
+    bad = dataclasses.replace(w, Wvs=np.stack([-w.Wvs[0], w.Wvs[1]]))
     trace = forward(inst, 3, weights=bad)
     oracle = _oracle_duals(inst, 3, 0.1)
     assert np.abs(trace.duals(3)[0] - oracle[3].u).max() > 1e-3
@@ -191,7 +190,7 @@ def _two_head_loop(state, w):
     """One layer run head by head, each with its own row softmax."""
     Z = state.Z
     mid = Z.copy()
-    for head, B in zip(w.heads, w.B):
+    for head, B in zip(w.heads, w.Bs):
         logits = Z @ head.Q @ Z.T
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         mid = mid + (e / e.sum(axis=1, keepdims=True)) @ (Z @ head.Wv) @ B
@@ -211,24 +210,6 @@ def test_stacked_heads_match_head_by_head_loop_bit_for_bit(d, lam, gamma):
                 want = _two_head_loop(state, weights)
                 state = layer_forward(state, weights)
                 np.testing.assert_array_equal(state.Z, want)
-
-
-def test_replaced_and_loaded_weights_rebuild_their_stacks(tmp_path):
-    """--flip-sign and the bench's injected fault swap head 1 with
-    dataclasses.replace; the layer must run the swapped head, not a stale stack."""
-    w = build_constructed_weights(1, 0.5, 0.1)
-    bad = _flip_first_value_sign(w)
-    np.testing.assert_array_equal(bad.Wvs[0], -w.heads[0].Wv)
-    np.testing.assert_array_equal(bad.Wvs[1], w.heads[1].Wv)
-    save_weights(bad, tmp_path / "bad.json")
-    loaded = load_weights(tmp_path / "bad.json")
-    state = build_prompt(permutation_instance(4, 0, 0.5))
-    for weights in (bad, loaded):
-        for stack, parts in ((weights.Qs, [h.Q for h in weights.heads]),
-                             (weights.Wvs, [h.Wv for h in weights.heads]), (weights.Bs, weights.B)):
-            np.testing.assert_array_equal(stack, np.stack(parts))
-        np.testing.assert_array_equal(layer_forward(state, weights).Z, _two_head_loop(state, bad))
-    assert not np.array_equal(layer_forward(state, bad).Z, layer_forward(state, w).Z)
 
 
 def test_layer_makes_one_attention_call(monkeypatch):
@@ -316,21 +297,45 @@ def test_apply_plan_rejects_zero_row():
 
 
 def test_weights_json_round_trip(tmp_path):
+    """Constructed weights and the --flip-sign fault both load back exactly."""
     w = build_constructed_weights(2, 0.05, 0.02)
-    path = tmp_path / "weights.json"
-    save_weights(w, path)
-    back = load_weights(path)
-    assert (back.d, back.lam, back.gamma) == (w.d, w.lam, w.gamma)
-    for ha, hb in zip(w.heads, back.heads):
-        np.testing.assert_array_equal(ha.Q, hb.Q)
-        np.testing.assert_array_equal(ha.Wv, hb.Wv)
-    np.testing.assert_array_equal(w.B, back.B)
-    np.testing.assert_array_equal(w.Wf, back.Wf)
-    # loaded weights drive an identical forward pass
     inst = ProblemInstance(x=[[0.1, 0.9], [0.8, 0.2]], y=[[0.2, 0.8], [0.9, 0.1]], lam=0.05)
-    za = forward(inst, 6, weights=w).states[-1].Z
-    zb = forward(inst, 6, weights=back).states[-1].Z
-    np.testing.assert_array_equal(za, zb)
+    state = build_prompt(inst)
+    bad = _flip_first_value_sign(w)
+    np.testing.assert_array_equal(bad.Wvs, np.stack([-w.Wvs[0], w.Wvs[1]]))  # head 1 only, on a copy
+    for weights in (w, bad):
+        path = tmp_path / "weights.json"
+        save_weights(weights, path)
+        back = load_weights(path)
+        assert (back.d, back.lam, back.gamma) == (w.d, w.lam, w.gamma)
+        for ha, hb in zip(weights.heads, back.heads):
+            np.testing.assert_array_equal(ha.Q, hb.Q)
+            np.testing.assert_array_equal(ha.Wv, hb.Wv)
+        np.testing.assert_array_equal(weights.Bs, back.Bs)
+        np.testing.assert_array_equal(weights.Wf, back.Wf)
+        # loaded weights drive an identical forward pass, and run the saved heads
+        za = forward(inst, 6, weights=weights).states[-1].Z
+        zb = forward(inst, 6, weights=back).states[-1].Z
+        np.testing.assert_array_equal(za, zb)
+        np.testing.assert_array_equal(layer_forward(state, back).Z, _two_head_loop(state, weights))
+    assert not np.array_equal(layer_forward(state, back).Z, layer_forward(state, w).Z)
+
+
+def test_weights_json_bytes_are_pinned(tmp_path):
+    # the bytes written while each head was still stored twice; the format must not drift
+    path = tmp_path / "weights.json"
+    save_weights(build_constructed_weights(2, 0.05, 0.02), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "1bca4919ed824e5e55cefd1485aff8eaf886b06496687d21153bea4224e5d945"
+
+
+def test_heads_are_views_of_the_stacks():
+    w = build_constructed_weights(2, 0.5, 0.1)
+    for h, head in enumerate(w.heads):
+        assert np.shares_memory(head.Q, w.Qs[h]) and np.shares_memory(head.Wv, w.Wvs[h])
+        np.testing.assert_array_equal(head.Q, w.Qs[h])
+        np.testing.assert_array_equal(head.Wv, w.Wvs[h])
+    assert [f.name for f in dataclasses.fields(w)] == ["Qs", "Wvs", "Bs", "Wf", "d", "lam", "gamma"]
 
 
 def test_equivalence_survives_tiny_lam_deep_run():
