@@ -62,22 +62,24 @@ def _random_instance(rng: np.random.Generator, n: int, d: int, lam: float) -> Pr
     return ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam)
 
 
-def _forward_deviation(inst: ProblemInstance, depth: int, weights: LayerWeights, gamma: float) -> float:
-    """max |duals(layer ell) - iterate ell| over ell = 1..depth, each layer
-    compared with one gd_step as the pass makes it."""
-    C = cost_matrix(inst)
-    it = dd.zero_iterate(inst.n)
+def _forward_deviation(insts: list[ProblemInstance], depth: int, weights: LayerWeights, gamma: float) -> float:
+    """max |duals(layer ell) - iterate ell| over ell = 1..depth and the
+    instances, which share n and d and run as one stacked pass; each layer is
+    compared with one stacked gd_step as the pass makes it."""
+    C = np.stack([cost_matrix(inst) for inst in insts])
+    zeros = np.zeros(C.shape[:-1])
+    it = dd.DualIterate(u=zeros, v=zeros)
     worst = 0.0
 
     def compare(ell, state):
         nonlocal it, worst
         if ell:
-            it = dd.gd_step(C, it, inst.lam, gamma)
+            it = dd.gd_step(C, it, insts[0].lam, gamma)
             u, v = read_dual(state)
             diff = max(np.abs(u - it.u).max(), np.abs(v - it.v).max())
             worst = max(worst, diff)
 
-    forward(inst, depth, weights, observe=compare)
+    forward(insts, depth, weights, observe=compare)
     return worst
 
 
@@ -92,7 +94,8 @@ def check_gd_equivalence(
     flip_sign: bool = False,
 ) -> CheckResult:
     """Layer-by-layer agreement between the forward pass and the descent
-    oracle: max |duals(layer ell) - iterate ell| over every prefix and case."""
+    oracle: max |duals(layer ell) - iterate ell| over every prefix and case.
+    The seeds of one (lam, d, n) run as one stacked pass."""
     cache: dict[tuple[int, float], LayerWeights] = {}
     worst = 0.0
     cases = 0
@@ -103,11 +106,12 @@ def check_gd_equivalence(
                 w = build_constructed_weights(d, lam, gamma)
                 cache[key] = _flip_first_value_sign(w) if flip_sign else w
             for n in ns:
-                for seed in range(n_seeds):
-                    rng = np.random.default_rng((seed, n, d, int(lam * 1000)))
-                    inst = _random_instance(rng, n, d, lam)
-                    worst = max(worst, _forward_deviation(inst, depth, cache[key], gamma))
-                    cases += 1
+                insts = [
+                    _random_instance(np.random.default_rng((seed, n, d, int(lam * 1000))), n, d, lam)
+                    for seed in range(n_seeds)
+                ]
+                worst = max(worst, _forward_deviation(insts, depth, cache[key], gamma))
+                cases += len(insts)
     return CheckResult(
         name="gd_equivalence",
         passed=worst <= tol,
@@ -257,13 +261,13 @@ def check_depth_bound(n: int = 2, lam: float = 1.0, seed: int = 0) -> CheckResul
 
     traj, r, depth, confined = _confined_run(C, lam, r_init, depth_for_r)
     k = int(np.argmin(traj.marginal_errors))
-    it = traj.iterates[k]
+    u, v = traj.duals[k]
     eta = sl.contraction_factor(gk)
     # depth was sized for the confirmed radius, so the (monotone) precondition
     # holds a fortiori at the realized one
     bound = sl.scaling_convergence_bound(n, traj.radius, lam, eta, depth)
-    mu_w = sl.hilbert_metric_logs(it.u / lam, ref.u / lam)
-    mu_q = sl.hilbert_metric_logs(it.v / lam, ref.v / lam)
+    mu_w = sl.hilbert_metric_logs(u / lam, ref.u / lam)
+    mu_q = sl.hilbert_metric_logs(v / lam, ref.v / lam)
     achieved = max(mu_w, mu_q)
     return CheckResult(
         name="depth_bound",

@@ -121,13 +121,17 @@ def _cmd_forward(args: argparse.Namespace) -> int:
         "n": "4", "d": "1", "lambda": "0.005", "gamma": "0.01",
         "depth": "2000", "seed": "0", "out": None, "checkpoints": None,
     })
-    ns = _as_int_list(cfg["n"])
+    ns = list(dict.fromkeys(_as_int_list(cfg["n"])))  # each size once, in first-seen order
+    if not ns:
+        raise ValueError("forward needs at least one n")
     d, lam, gamma = _as_int(cfg["d"]), _as_float(cfg["lambda"]), _as_float(cfg["gamma"])
     depth, seed = _as_int(cfg["depth"]), _as_int(cfg["seed"])
     if cfg["checkpoints"] is None:
         marks = sorted({k for k in (1, 300, 600, depth) if 0 < k <= depth} or {0})
     else:
         marks = sorted(set(_as_int_list(cfg["checkpoints"])))
+        if not marks:
+            raise ValueError("forward needs at least one checkpoint")
         if any(k < 0 or k > depth for k in marks):
             print(f"checkpoints must lie in [0, {depth}]", file=sys.stderr)
             return EXIT_USAGE

@@ -26,67 +26,62 @@ from .logdomain import log_kernel, lse
 
 @dataclasses.dataclass(frozen=True)
 class DualIterate:
+    """Duals u, v of shape (..., n): leading axes stack instances."""
+
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
         v = np.asarray(self.v, dtype=float)
-        if u.shape != v.shape or u.ndim != 1:
-            raise ValueError("u and v must be 1-D of equal length")
+        if u.shape != v.shape or u.ndim < 1:
+            raise ValueError("u and v must be arrays of equal shape (..., n)")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.concatenate([self.u, self.v])
 
 
 def zero_iterate(n: int) -> DualIterate:
     return DualIterate(u=np.zeros(n), v=np.zeros(n))
 
 
-def _log_sums(C: np.ndarray, it: DualIterate, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """log M 1 and log M^T 1 at the iterate: one kernel pass serves a step
+def _log_sums(C: np.ndarray, u: np.ndarray, v: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """log M 1 and log M^T 1 at duals (u, v): one kernel pass serves a step
     and everything recorded about it."""
-    logM = log_kernel(C, it.u, it.v, lam)
-    return lse(logM, axis=1), lse(logM, axis=0)
+    logM = log_kernel(C, u, v, lam)
+    return lse(logM, axis=-1), lse(logM, axis=-2)
 
 
-def dual_objective(C: np.ndarray, it: DualIterate, lam: float) -> float:
-    n = C.shape[0]
-    log_rs, _ = _log_sums(C, it, lam)
-    return lam * np.exp(lse(log_rs, axis=0)) - (it.u.sum() + it.v.sum()) / n
+def _objective(log_rs: np.ndarray, u: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
+    # lam * sum_ij M_ij from the log row sums, minus the marginal terms
+    n = u.shape[-1]
+    return lam * np.exp(lse(log_rs, axis=-1)) - (u.sum(axis=-1) + v.sum(axis=-1)) / n
+
+
+def dual_objective(C: np.ndarray, it: DualIterate, lam: float) -> float | np.ndarray:
+    log_rs, _ = _log_sums(C, it.u, it.v, lam)
+    return _objective(log_rs, it.u, it.v, lam)
 
 
 def gradients(C: np.ndarray, it: DualIterate, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Marginal defects (M 1 - 1/n, M^T 1 - 1/n) of the kernel at the iterate."""
-    n = C.shape[0]
-    log_rs, log_cs = _log_sums(C, it, lam)
+    n = C.shape[-1]
+    log_rs, log_cs = _log_sums(C, it.u, it.v, lam)
     return np.exp(log_rs) - 1.0 / n, np.exp(log_cs) - 1.0 / n
 
 
 def _step_ratio(log_s: np.ndarray, n: int) -> np.ndarray:
-    # (s - 1/n)/(s + 1) from log s; the rewrite for log s > 0 avoids inf/inf
-    out = np.empty_like(log_s)
-    big = log_s > 0
-    e = np.exp(-log_s[big])
-    out[big] = (1.0 - e / n) / (1.0 + e)
-    s = np.exp(log_s[~big])
-    out[~big] = (s - 1.0 / n) / (s + 1.0)
-    return out
-
-
-def _stepped(it: DualIterate, log_rs: np.ndarray, log_cs: np.ndarray, gamma: float) -> DualIterate:
-    n = it.u.shape[0]
-    u = it.u - gamma * _step_ratio(log_rs, n)
-    v = it.v - gamma * _step_ratio(log_cs, n)
-    return DualIterate(u=u, v=v)
+    # (s - 1/n)/(s + 1) from log s, through t = exp(-|log s|) <= 1 so that
+    # neither branch overflows; for log s > 0 it is rewritten to avoid inf/inf
+    t = np.exp(-np.abs(log_s))
+    return np.where(log_s > 0, (1.0 - t / n) / (1.0 + t), (t - 1.0 / n) / (t + 1.0))
 
 
 def gd_step(C: np.ndarray, it: DualIterate, lam: float, gamma: float) -> DualIterate:
-    """One preconditioned descent step; both blocks read the same iterate."""
-    return _stepped(it, *_log_sums(C, it, lam), gamma)
+    """One preconditioned descent step; both blocks read the same iterate.
+    C (..., n, n) and the iterate's (..., n) duals may stack instances."""
+    n = it.u.shape[-1]
+    log_rs, log_cs = _log_sums(C, it.u, it.v, lam)
+    return DualIterate(u=it.u - gamma * _step_ratio(log_rs, n), v=it.v - gamma * _step_ratio(log_cs, n))
 
 
 def radius_stepsize(n: int, r: float, lam: float) -> float:
@@ -103,7 +98,10 @@ def radius_stepsize(n: int, r: float, lam: float) -> float:
 
 @dataclasses.dataclass
 class Trajectory:
-    iterates: list[DualIterate]
+    """A descent run of `depth` steps: duals[k] holds the (u, v) of step k as
+    a (2, n) array, and every per-step array has depth + 1 entries."""
+
+    duals: np.ndarray  # (depth + 1, 2, n)
     grad_u_norms: np.ndarray
     grad_v_norms: np.ndarray
     objectives: np.ndarray
@@ -114,7 +112,12 @@ class Trajectory:
 
     @property
     def depth(self) -> int:
-        return len(self.iterates) - 1
+        return len(self.duals) - 1
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    # 2-norms over the last axis; bit-identical to np.linalg.norm of each row
+    return np.sqrt(np.vecdot(a, a))
 
 
 def gd_run(
@@ -127,58 +130,51 @@ def gd_run(
     """Run `depth` steps of stepsize `gamma` from zero duals, recording
     per-step diagnostics.
 
-    If `reference` duals (u*, v*) are given, also records
-    Delta_k = ||theta_k - theta*||^2 in the inverse-stepsize metric at step k,
-    with theta* re-gauged per step so its u-mean matches the iterate's (the
-    objective and kernel are invariant under (u+c, v-c)).
+    The loop makes one kernel pass per iterate and keeps its log sums; the
+    diagnostics are computed from them once, after the loop. If `reference`
+    duals (u*, v*) are given, also records Delta_k = ||theta_k - theta*||^2
+    in the inverse-stepsize metric at step k, with theta* re-gauged per step
+    so its u-mean matches the iterate's (the objective and kernel are
+    invariant under (u+c, v-c)).
     """
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     n = C.shape[0]
-    it = zero_iterate(n)
-    iterates = [it]
-    gus, gvs, objs, errs, deltas = [], [], [], [], []
+    duals = np.zeros((depth + 1, 2, n))
+    log_sums = np.empty((depth + 1, 2, n))
+    for k in range(depth + 1):
+        log_sums[k] = _log_sums(C, duals[k, 0], duals[k, 1], lam)
+        if k < depth:
+            duals[k + 1] = duals[k] - gamma * _step_ratio(log_sums[k], n)
 
-    def record(cur: DualIterate) -> tuple[np.ndarray, np.ndarray]:
-        log_rs, log_cs = _log_sums(C, cur, lam)
-        rs, cs = np.exp(log_rs), np.exp(log_cs)
-        gu, gv = rs - 1.0 / n, cs - 1.0 / n
-        gus.append(np.linalg.norm(gu))
-        gvs.append(np.linalg.norm(gv))
-        objs.append(lam * np.exp(lse(log_rs, axis=0)) - (cur.u.sum() + cur.v.sum()) / n)
-        errs.append(max(np.abs(gu).max(), np.abs(gv).max()))
-        if reference is not None:
-            c = cur.u.mean() - reference[0].mean()
-            du = cur.u - (reference[0] + c)
-            dv = cur.v - (reference[1] - c)
-            deltas.append((du**2 * (rs + 1.0)).sum() / gamma + (dv**2 * (cs + 1.0)).sum() / gamma)
-        return log_rs, log_cs
-
-    for _ in range(depth):
-        # the step reads the sums its record just took
-        it = _stepped(it, *record(it), gamma)
-        iterates.append(it)
-    record(it)
-
-    radius = max(float(np.linalg.norm(i.theta)) for i in iterates)
+    u, v = duals[:, 0], duals[:, 1]
+    sums = np.exp(log_sums)
+    grads = sums - 1.0 / n
+    deltas = None
+    if reference is not None:
+        c = u.mean(axis=-1, keepdims=True) - reference[0].mean()
+        du = u - (reference[0] + c)
+        dv = v - (reference[1] - c)
+        deltas = (du**2 * (sums[:, 0] + 1.0)).sum(axis=-1) / gamma
+        deltas += (dv**2 * (sums[:, 1] + 1.0)).sum(axis=-1) / gamma
     return Trajectory(
-        iterates=iterates,
-        grad_u_norms=np.array(gus),
-        grad_v_norms=np.array(gvs),
-        objectives=np.array(objs),
-        marginal_errors=np.array(errs),
-        radius=radius,
+        duals=duals,
+        grad_u_norms=_norms(grads[:, 0]),
+        grad_v_norms=_norms(grads[:, 1]),
+        objectives=_objective(log_sums[:, 0], u, v, lam),
+        marginal_errors=np.abs(grads).max(axis=(1, 2)),
+        radius=float(_norms(duals.reshape(depth + 1, 2 * n)).max()),
         gamma=gamma,
-        deltas=np.array(deltas) if reference is not None else None,
+        deltas=deltas,
     )
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     with open(path, "w") as fh:
         fh.write("step,grad_u_norm,grad_v_norm,objective,marginal_error\n")
-        for k in range(len(traj.iterates)):
+        for k in range(traj.depth + 1):
             fh.write(
                 f"{k},{float(traj.grad_u_norms[k])!r},{float(traj.grad_v_norms[k])!r},"
                 f"{float(traj.objectives[k])!r},{float(traj.marginal_errors[k])!r}\n"

@@ -23,8 +23,9 @@ def lse(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def log_kernel(C: np.ndarray, u: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
-    """log M = (-C + u 1^T + 1 v^T)/lam - 1."""
-    return (-C + u[:, None] + v[None, :]) / lam - 1.0
+    """log M = (-C + u 1^T + 1 v^T)/lam - 1; leading axes of C, u and v
+    broadcast, so a stack of instances gives a stack of kernels."""
+    return (-C + u[..., :, None] + v[..., None, :]) / lam - 1.0
 
 
 def square_matrices(A) -> np.ndarray:

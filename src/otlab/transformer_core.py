@@ -34,7 +34,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import json
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -94,8 +94,10 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def attention(Z: np.ndarray, Qs: np.ndarray, Wvs: np.ndarray) -> np.ndarray:
     """softmax_rows(Z Q_h Z^T) (Z Wv_h) for every head h of the stacks, as one
-    (heads, n+1, width) array; each token attends over all tokens, self included."""
-    return _softmax_rows((Z @ Qs) @ Z.T) @ (Z @ Wvs)
+    (..., heads, n+1, width) array for a (..., n+1, width) state; each token
+    attends over all tokens of its own instance, self included."""
+    Z = Z[..., None, :, :]  # the head axis
+    return _softmax_rows((Z @ Qs) @ Z.mT) @ (Z @ Wvs)
 
 
 def attention_pattern(state: HiddenState, head: AttentionHead, variant: str = "softmax") -> np.ndarray:
@@ -103,11 +105,11 @@ def attention_pattern(state: HiddenState, head: AttentionHead, variant: str = "s
     exp(logits), which on a constructed head equals M at the current duals.
     A kernel entry above sqrt(largest float)/n raises DivergenceError, the
     bound `divergence_guard` holds every layer's kernel to."""
-    logits = state.Z @ head.Q @ state.Z.T
+    logits = state.Z @ head.Q @ state.Z.mT
     if variant == "softmax":
         return _softmax_rows(logits)
     if variant == "raw_kernel":
-        block = logits[: state.n, : state.n]
+        block = logits[..., : state.n, : state.n]
         log_cap = _log_kernel_cap(state.n)
         if not block.max() <= log_cap:  # also catches NaN logits
             raise DivergenceError(f"attention kernel exceeds {np.exp(log_cap):.0e}")
@@ -116,12 +118,13 @@ def attention_pattern(state: HiddenState, head: AttentionHead, variant: str = "s
 
 
 def layer_forward(state: HiddenState, weights: LayerWeights) -> HiddenState:
-    """Apply one layer; both heads read the incoming state and are summed in
-    the order Z + head 1 + head 2, bit-identical to a head-by-head loop."""
+    """Apply one layer to a state, or to a stack of states at once; both heads
+    read the incoming state and are summed in the order Z + head 1 + head 2,
+    bit-identical to a head-by-head loop on each instance alone."""
     Z = state.Z
     heads = attention(Z, weights.Qs, weights.Wvs) @ weights.Bs
-    mid = Z + heads[0]
-    mid += heads[1]
+    mid = Z + heads[..., 0, :, :]
+    mid += heads[..., 1, :, :]
     out = mid @ weights.Wf
     np.maximum(out, 0.0, out=out)
     out += mid
@@ -235,9 +238,10 @@ def divergence_guard(C: np.ndarray, lam: float) -> Callable[[int, HiddenState], 
     too large to measure: a kernel entry exp((u_i + v_j - C_ij)/lam - 1) above
     sqrt(largest float)/n. The O(n) bound (max u + max v - min C)/lam - 1 on
     the log entries clears almost every layer, so the n^2 logits are formed
-    only for the layers it does not clear.
+    only for the layers it does not clear. For a stacked pass, C stacks the
+    instances' cost matrices alike and the guard holds them all.
     """
-    log_cap = _log_kernel_cap(C.shape[0])
+    log_cap = _log_kernel_cap(C.shape[-1])
     c_min = C.min()
 
     def check(ell: int, state: HiddenState) -> None:
@@ -278,7 +282,7 @@ class ForwardTrace:
 
 
 def forward(
-    inst: ProblemInstance,
+    inst: ProblemInstance | Sequence[ProblemInstance],
     depth: int,
     weights: LayerWeights,
     checkpoints: Iterable[int] = (),
@@ -286,7 +290,9 @@ def forward(
     record_patterns: bool = False,
 ) -> ForwardTrace:
     """Run `depth` layers of `weights` on the instance's prompt; a constructed
-    set is n-independent, so one set serves every instance of its d.
+    set is n-independent, so one set serves every instance of its d. A
+    sequence of instances of one n and d runs as one stacked pass, whose
+    states stack theirs on a leading axis (see `build_prompt`).
 
     The pass streams: it holds one state at a time and keeps only those of
     the layers in `checkpoints` and the final one. `observe(ell, state)`, if

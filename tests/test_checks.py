@@ -2,6 +2,7 @@
 proof that the fault injection actually trips the equivalence suite."""
 
 from otlab import checks
+from otlab import transformer_core as tc
 
 
 def test_run_all_quick_is_green():
@@ -43,3 +44,23 @@ def test_equivalence_metrics_report_worst_case():
     assert res.passed
     assert res.metrics["cases"] == 4
     assert 0.0 <= res.metrics["max_deviation"] <= 1e-8
+
+
+def test_equivalence_runs_each_group_as_one_stacked_pass(monkeypatch):
+    """The 60 default runs go as 12 (lam, d, n) groups of 5 seeds: 12 forward
+    passes of 50 stacked layers, where one pass per run made 60 and 3,000.
+    Each of the 4 (d, lam) weight sets adds one layer in its probe check."""
+    calls = {"forward": 0, "layer_forward": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(checks, "forward", counted("forward", checks.forward))
+    monkeypatch.setattr(tc, "layer_forward", counted("layer_forward", tc.layer_forward))
+    res = checks.check_gd_equivalence()
+    assert res.passed and res.metrics["cases"] == 60
+    assert calls == {"forward": 12, "layer_forward": 12 * 50 + 4}

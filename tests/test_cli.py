@@ -6,6 +6,7 @@ non-convergence.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -139,6 +140,19 @@ def test_forward_multi_n_prefixes_files(tmp_path):
     assert set(manifest["metrics"]["per_n"]) == {"3", "4"}
 
 
+def test_forward_runs_each_size_once(tmp_path, capsys):
+    out = tmp_path / "dup"
+    assert main(["forward", "--n", "4,3,4", "--depth", "5", "--checkpoints", "5", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["n=4", "n=3"]
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert len(outputs) == len(set(outputs)) == 9  # A_0005 and Pstar as .csv and .pgm per n, weights.json
+    # an empty size list is a usage error before anything is written, even with --out
+    assert main(["forward", "--n", ",", "--out", str(tmp_path / "none")]) == 1
+    assert capsys.readouterr().err == "otlab: forward needs at least one n\n"
+    assert not (tmp_path / "none").exists()
+
+
 def test_forward_checkpoint_out_of_range(capsys):
     assert main(["forward", "--depth", "10", "--checkpoints", "11"]) == 1
     assert "checkpoints" in capsys.readouterr().err
@@ -180,6 +194,8 @@ def test_sort_requires_x(capsys):
         ["sinkhorn", "--tol", "-1"],  # each tol ran the whole sweep budget and exited 3
         ["sinkhorn", "--tol", "0"],
         ["sinkhorn", "--tol", "nan"],
+        ["forward", "--n", ","],  # no size at all: exited 0 with no output
+        ["forward", "--checkpoints", ","],  # no layer to export: raised IndexError
     ],
 )
 def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
@@ -281,6 +297,22 @@ def test_gd_writes_trajectory(tmp_path, capsys):
     assert "final marginal error" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--n", "3", "--lambda", "0.5", "--depth", "300"],
+         "e824eefaf566815e686f48449027df47b4c02ec1981a37d0028e538c915f0de8"),
+        (["--n", "5", "--radius", "0.8", "--lambda", "1", "--depth", "500"],
+         "4ebce3ede7e97ca8f701f91af299ed564817470e3f70b833cc752fbecfd43953"),
+    ],
+)
+def test_gd_trajectory_bytes_are_pinned(argv, digest, tmp_path, capsys):
+    # the bytes written while gd_run recorded each step inside its loop
+    out = tmp_path / "gd"
+    assert main(["gd", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest() == digest
+
+
 def test_gd_radius_matched_stepsize(capsys):
     assert main(["gd", "--n", "3", "--lambda", "1.0", "--radius", "0.5", "--depth", "10"]) == 0
     out = capsys.readouterr().out
@@ -334,6 +366,16 @@ def test_verify_flip_sign_exits_2(tmp_path, capsys):
     assert report["passed"] is False
     failed = {r["name"] for r in report["results"] if not r["passed"]}
     assert "gd_equivalence" in failed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("flags, code", [([], 0), (["--flip-sign"], 2)])
+def test_verify_quick_exits_0_or_2_with_a_silent_stderr(seed, flags, code, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--quick", "--seed", str(seed), *flags]) == code
+    assert capsys.readouterr().err == ""
+    assert not caught
 
 
 def test_config_file_layering(tmp_path):

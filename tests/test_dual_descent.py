@@ -98,6 +98,36 @@ def test_gd_step_survives_kernel_overflow():
     np.testing.assert_allclose(nxt.u, it.u - 0.1, rtol=1e-12)
 
 
+def _masked_step_ratio(log_s, n):
+    # the per-branch form the branch-free ratio replaced
+    out = np.empty_like(log_s)
+    big = log_s > 0
+    e = np.exp(-log_s[big])
+    out[big] = (1.0 - e / n) / (1.0 + e)
+    s = np.exp(log_s[~big])
+    out[~big] = (s - 1.0 / n) / (s + 1.0)
+    return out
+
+
+def test_branch_free_step_ratio_matches_the_masked_form():
+    rng = np.random.default_rng(8)
+    log_s = np.concatenate([rng.normal(0, 30, 500), [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf]])
+    for n in (1, 3, 16):
+        np.testing.assert_array_equal(dd._step_ratio(log_s, n), _masked_step_ratio(log_s, n))
+
+
+def test_stacked_gd_step_is_each_single_step():
+    rng = np.random.default_rng(3)
+    C = rng.uniform(0, 1, (4, 5, 5))
+    it = dd.DualIterate(u=rng.normal(0, 2, (4, 5)), v=rng.normal(0, 2, (4, 5)))
+    nxt = dd.gd_step(C, it, 0.05, 0.1)
+    assert nxt.u.shape == nxt.v.shape == (4, 5)
+    for b in range(4):
+        one = dd.gd_step(C[b], dd.DualIterate(u=it.u[b], v=it.v[b]), 0.05, 0.1)
+        np.testing.assert_array_equal(nxt.u[b], one.u)
+        np.testing.assert_array_equal(nxt.v[b], one.v)
+
+
 def test_descent_decreases_objective():
     inst = permutation_instance(4, 1, 0.5)
     traj = dd.gd_run(cost_matrix(inst), 0.5, 60, 0.1)
@@ -139,7 +169,7 @@ def test_gd_run_takes_one_kernel_pass_per_step(monkeypatch):
     it = dd.zero_iterate(4)
     for k in range(1, depth + 1):
         it = dd.gd_step(C, it, 0.5, 0.1)
-        np.testing.assert_array_equal(traj.iterates[k].theta, it.theta)
+        np.testing.assert_array_equal(traj.duals[k], [it.u, it.v])
 
 
 def test_smoothness_bound_frozen_value():
@@ -204,17 +234,39 @@ def test_trajectory_bookkeeping():
     depth = 25
     traj = dd.gd_run(C, 0.8, depth, 0.05)
     assert traj.depth == depth
-    assert len(traj.iterates) == depth + 1
+    assert traj.duals.shape == (depth + 1, 2, 3)
     for arr in (traj.grad_u_norms, traj.grad_v_norms, traj.objectives, traj.marginal_errors):
         assert arr.shape == (depth + 1,)
     assert traj.deltas is None
-    assert traj.radius == pytest.approx(max(np.linalg.norm(i.theta) for i in traj.iterates))
-    np.testing.assert_array_equal(traj.iterates[0].theta, np.zeros(6))
+    assert traj.radius == pytest.approx(max(np.linalg.norm(theta.ravel()) for theta in traj.duals))
+    np.testing.assert_array_equal(traj.duals[0], np.zeros((2, 3)))
     # recorded diagnostics match recomputation at a middle iterate
-    it = traj.iterates[7]
+    it = dd.DualIterate(*traj.duals[7])
     M = np.exp(log_kernel(C, it.u, it.v, 0.8))
     assert traj.marginal_errors[7] == pytest.approx(marginal_error(M), rel=1e-12)
-    assert traj.objectives[7] == pytest.approx(dd.dual_objective(C, traj.iterates[7], 0.8), rel=1e-12)
+    assert traj.objectives[7] == pytest.approx(dd.dual_objective(C, it, 0.8), rel=1e-12)
+
+
+def test_gd_run_diagnostics_match_a_per_step_recomputation():
+    """The arrays computed after the loop equal the per-step formulas the
+    loop used to record, bit for bit."""
+    lam, gamma = 0.3, 0.05
+    C = cost_matrix(permutation_instance(4, 1, lam))
+    ref = sl.sinkhorn_solve(sl.gibbs_kernel(C, lam), tol=1e-12)
+    traj = dd.gd_run(C, lam, 40, gamma, reference=(ref.u, ref.v))
+    for k, (u, v) in enumerate(traj.duals):
+        it = dd.DualIterate(u=u, v=v)
+        logM = log_kernel(C, u, v, lam)
+        rs, cs = np.exp(lse(logM, axis=1)), np.exp(lse(logM, axis=0))
+        gu, gv = rs - 1.0 / 4, cs - 1.0 / 4
+        assert traj.grad_u_norms[k] == np.linalg.norm(gu)
+        assert traj.grad_v_norms[k] == np.linalg.norm(gv)
+        assert traj.objectives[k] == dd.dual_objective(C, it, lam)
+        assert traj.marginal_errors[k] == max(np.abs(gu).max(), np.abs(gv).max())
+        c = u.mean() - ref.u.mean()
+        du, dv = u - (ref.u + c), v - (ref.v - c)
+        assert traj.deltas[k] == (du**2 * (rs + 1.0)).sum() / gamma + (dv**2 * (cs + 1.0)).sum() / gamma
+    assert traj.radius == max(float(np.linalg.norm(np.concatenate([u, v]))) for u, v in traj.duals)
 
 
 def test_reference_distance_nonincreasing_under_radius_matched_step():

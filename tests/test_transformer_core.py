@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from otlab import dual_descent as dd
 from otlab import transformer_core as tc
@@ -139,6 +141,10 @@ def test_divergence_guard_names_the_first_bad_layer():
     w = build_constructed_weights(1, 1e-6, 0.01)
     with pytest.raises(DivergenceError, match="^attention kernel exceeds 3e\\+153 at layer 2$"):
         forward(inst, 50, w, observe=divergence_guard(cost_matrix(inst), 1e-6))
+    # a stacked pass is guarded with its stacked costs
+    other = permutation_instance(4, 1, 1e-6)
+    with pytest.raises(DivergenceError, match="^attention kernel exceeds 3e\\+153 at layer 2$"):
+        forward([other, inst], 50, w, observe=divergence_guard(np.stack([cost_matrix(other), cost_matrix(inst)]), 1e-6))
     # duals pass the feedforward's reset guard at layer 5
     inst = permutation_instance(4, 0, 1e9)
     w = build_constructed_weights(1, 1e9, 5e7)
@@ -210,6 +216,52 @@ def test_stacked_heads_match_head_by_head_loop_bit_for_bit(d, lam, gamma):
                 want = _two_head_loop(state, weights)
                 state = layer_forward(state, weights)
                 np.testing.assert_array_equal(state.Z, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 16),
+    d=st.integers(1, 3),
+    batch=st.integers(1, 4),
+    log_lam=st.floats(-3.0, 2.0),
+    log_ratio=st.floats(-3.0, 0.6),
+    depth=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_pass_is_each_single_pass_and_stacked_descent(n, d, batch, log_lam, log_ratio, depth, seed):
+    """Every instance of a stacked pass is its own single pass bit for bit,
+    and every layer's duals are one stacked gd_step within criterion 01's
+    1e-8. Steps stay below 4 lam (the sorting demo's is 2 lam): from about
+    20 lam on, descent amplifies float rounding past 1e-8 within 30 steps."""
+    lam = 10.0**log_lam
+    gamma = lam * 10.0**log_ratio
+    try:
+        w = build_constructed_weights(d, lam, gamma)
+    except ValueError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    insts = [ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam) for _ in range(batch)]
+    layers = range(depth + 1)
+    stacked = forward(insts, depth, w, checkpoints=layers)
+    plans = attention_pattern(stacked.states[-1], w.heads[0], "raw_kernel")
+    for b, inst in enumerate(insts):
+        single = forward(inst, depth, w, checkpoints=layers)
+        for ell in layers:
+            np.testing.assert_array_equal(stacked.state(ell).Z[b], single.state(ell).Z)
+        np.testing.assert_array_equal(plans[b], attention_pattern(single.states[-1], w.heads[0], "raw_kernel"))
+    C = np.stack([cost_matrix(inst) for inst in insts])
+    it = dd.DualIterate(u=np.zeros((batch, n)), v=np.zeros((batch, n)))
+    for ell in range(1, depth + 1):
+        it = dd.gd_step(C, it, lam, gamma)
+        u, v = stacked.duals(ell)
+        assert max(np.abs(u - it.u).max(), np.abs(v - it.v).max()) <= 1e-8
+
+
+def test_stacked_prompt_needs_one_n_and_d():
+    w = build_constructed_weights(1, 0.5, 0.1)
+    for mixed in ([permutation_instance(3, 0, 0.5), permutation_instance(4, 0, 0.5)], []):
+        with pytest.raises(ValueError):
+            forward(mixed, 2, w)
 
 
 def test_layer_makes_one_attention_call(monkeypatch):
