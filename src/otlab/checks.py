@@ -67,8 +67,7 @@ def _forward_deviation(insts: list[ProblemInstance], depth: int, weights: LayerW
     instances, which share n and d and run as one stacked pass; each layer is
     compared with one stacked gd_step as the pass makes it."""
     C = np.stack([cost_matrix(inst) for inst in insts])
-    zeros = np.zeros(C.shape[:-1])
-    it = dd.DualIterate(u=zeros, v=zeros)
+    it = dd.zero_iterate(C.shape[:-1])
     worst = 0.0
 
     def compare(ell, state):

@@ -40,7 +40,8 @@ class DualIterate:
         object.__setattr__(self, "v", v)
 
 
-def zero_iterate(n: int) -> DualIterate:
+def zero_iterate(n: int | tuple[int, ...]) -> DualIterate:
+    """Zero duals of shape n, or (..., n) for a stack of instances."""
     return DualIterate(u=np.zeros(n), v=np.zeros(n))
 
 
@@ -150,25 +151,34 @@ def gd_run(
             duals[k + 1] = duals[k] - gamma * _step_ratio(log_sums[k], n)
 
     u, v = duals[:, 0], duals[:, 1]
-    sums = np.exp(log_sums)
-    grads = sums - 1.0 / n
+    objectives = _objective(log_sums[:, 0], u, v, lam)
+    # the log sums are spent: their buffer holds the sums, then the gradients
+    sums = np.exp(log_sums, out=log_sums)
     deltas = None
     if reference is not None:
         c = u.mean(axis=-1, keepdims=True) - reference[0].mean()
-        du = u - (reference[0] + c)
-        dv = v - (reference[1] - c)
-        deltas = (du**2 * (sums[:, 0] + 1.0)).sum(axis=-1) / gamma
-        deltas += (dv**2 * (sums[:, 1] + 1.0)).sum(axis=-1) / gamma
+        deltas = _weighted_sq(u, reference[0] + c, sums[:, 0]) / gamma
+        deltas += _weighted_sq(v, reference[1] - c, sums[:, 1]) / gamma
+    grads = np.subtract(sums, 1.0 / n, out=sums)
+    grad_u_norms, grad_v_norms = _norms(grads[:, 0]), _norms(grads[:, 1])
     return Trajectory(
         duals=duals,
-        grad_u_norms=_norms(grads[:, 0]),
-        grad_v_norms=_norms(grads[:, 1]),
-        objectives=_objective(log_sums[:, 0], u, v, lam),
-        marginal_errors=np.abs(grads).max(axis=(1, 2)),
+        grad_u_norms=grad_u_norms,
+        grad_v_norms=grad_v_norms,
+        objectives=objectives,
+        marginal_errors=np.abs(grads, out=grads).max(axis=(1, 2)),
         radius=float(_norms(duals.reshape(depth + 1, 2 * n)).max()),
         gamma=gamma,
         deltas=deltas,
     )
+
+
+def _weighted_sq(x: np.ndarray, ref: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    # sum over the last axis of (x - ref)^2 (sums + 1); overwrites ref
+    d = np.subtract(x, ref, out=ref)
+    np.square(d, out=d)
+    d *= sums + 1.0
+    return d.sum(axis=-1)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

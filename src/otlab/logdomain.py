@@ -19,7 +19,8 @@ import numpy as np
 def lse(a: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(a), axis)), shifted by the max; entries must be finite."""
     m = a.max(axis=axis, keepdims=True)
-    return m.squeeze(axis) + np.log(np.exp(a - m).sum(axis=axis))
+    e = a - m
+    return m.squeeze(axis) + np.log(np.exp(e, out=e).sum(axis=axis))
 
 
 def log_kernel(C: np.ndarray, u: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:

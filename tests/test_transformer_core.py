@@ -250,12 +250,29 @@ def test_stacked_pass_is_each_single_pass_and_stacked_descent(n, d, batch, log_l
             np.testing.assert_array_equal(stacked.state(ell).Z[b], single.state(ell).Z)
         np.testing.assert_array_equal(plans[b], attention_pattern(single.states[-1], w.heads[0], "raw_kernel"))
     C = np.stack([cost_matrix(inst) for inst in insts])
-    it = dd.DualIterate(u=np.zeros((batch, n)), v=np.zeros((batch, n)))
+    it = dd.zero_iterate((batch, n))
     for ell in range(1, depth + 1):
         it = dd.gd_step(C, it, lam, gamma)
         u, v = stacked.duals(ell)
         assert max(np.abs(u - it.u).max(), np.abs(v - it.v).max()) <= 1e-8
 
+
+
+@pytest.mark.parametrize("ratio, grows", [(20.0, True), (2.0, False)])
+def test_descent_alone_amplifies_rounding_at_large_steps(ratio, grows):
+    """Why the property above keeps gamma below 4 lam: at gamma = 20 lam a
+    one-ulp change to descent's first iterate grows past 1e-8 within 30
+    steps with no layer involved, as the forward pass's own rounding does on
+    this instance (1.6e-7 at layer 30); at 2 lam it stays at rounding level."""
+    rng = np.random.default_rng(2)
+    lam = 10.0
+    C = cost_matrix(ProblemInstance(x=rng.uniform(0, 1, (8, 1)), y=rng.uniform(0, 1, (8, 1)), lam=lam))
+    a = dd.gd_step(C, dd.zero_iterate(8), lam, ratio * lam)
+    b = dd.DualIterate(u=np.nextafter(a.u, np.inf), v=a.v)
+    for _ in range(29):
+        a, b = dd.gd_step(C, a, lam, ratio * lam), dd.gd_step(C, b, lam, ratio * lam)
+    deviation = max(np.abs(a.u - b.u).max(), np.abs(a.v - b.v).max())
+    assert (deviation > 1e-8) == grows
 
 def test_stacked_prompt_needs_one_n_and_d():
     w = build_constructed_weights(1, 0.5, 0.1)
