@@ -18,35 +18,12 @@ from .prompt import read_dual
 from .transformer_core import LayerWeights, build_constructed_weights, forward
 
 
-def _native(x):
-    # json refuses numpy scalars (np.bool_ is not a bool subclass)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, dict):
-        return {k: _native(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_native(v) for v in x]
-    return x
-
-
 @dataclasses.dataclass
 class CheckResult:
     name: str
     passed: bool
     detail: str
     metrics: dict
-
-    def as_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "detail": self.detail,
-            "metrics": _native(self.metrics),
-        }
 
 
 def _flip_first_value_sign(weights: LayerWeights) -> LayerWeights:

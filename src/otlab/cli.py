@@ -8,6 +8,7 @@ non-convergence, including a run that overflows.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -39,59 +40,83 @@ EXIT_NO_CONVERGENCE = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; this tool reserves 2 for verification
+    # argparse prints its usage and exits 2 on a usage error; this tool keeps 2
+    # for verification, and main reports every usage error as one line
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(message)
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    flags = {
-        "n": dict(flag="--n", help="instance size; forward accepts a comma list"),
-        "d": dict(flag="--d", help="point dimension (d > 1 samples uniform points)"),
-        "lambda": dict(flag="--lambda", help="entropic regularization weight"),
-        "gamma": dict(flag="--gamma", help="descent stepsize"),
-        "depth": dict(flag="--depth", help="number of layers / steps"),
-        "seed": dict(flag="--seed", help="instance seed"),
-        "out": dict(flag="--out", help="output directory (omit to skip artifacts)"),
-        "checkpoints": dict(flag="--checkpoints", help="comma-separated layers to export"),
-    }
-    for name in names:
-        s = flags[name]
-        p.add_argument(s["flag"], dest=name.replace("-", "_"), default=None, help=s["help"])
-    p.add_argument("--config", default=None, help="flat key=value config file; flags override")
+def _at_least(lo: int):
+    """argparse type: an integer no smaller than lo."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        file_cfg = otio.read_config(args.config)
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            print(f"unknown config keys: {', '.join(sorted(unknown))}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        cfg.update(file_cfg)
-    for key in defaults:
-        val = getattr(args, key, None)  # argparse stores --lambda under 'lambda'
-        if val is not None:
-            cfg[key] = val
-    return cfg
+def _comma_list(kind):
+    """argparse type: comma-separated values of `kind`; empty items are skipped."""
+
+    def parse(text: str) -> list:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
-def _as_int(x) -> int:
-    return int(str(x))
+# flags shared by several commands, each declared once with its type and default
+_SHARED = {
+    "d": dict(type=_at_least(1), default=1, help="point dimension (d > 1 samples uniform points)"),
+    "lambda": dict(type=float, default=0.005, help="entropic regularization weight"),
+    "gamma": dict(type=float, default=0.01, help="descent stepsize"),
+    "depth": dict(type=int, default=2000, help="number of layers / steps"),
+    "seed": dict(type=_at_least(0), default=0, help="instance seed"),
+    "out": dict(type=lambda text: Path(text) if text else None,  # an empty --out writes nothing
+                help="output directory (omit to skip artifacts)"),
+}
 
 
-def _as_float(x) -> float:
-    return float(str(x))
+def _command(commands, name: str, func, help: str, *shared: str) -> _Parser:
+    p = commands.add_parser(name, help=help)
+    for key in shared:
+        p.add_argument(f"--{key}", **_SHARED[key])
+    p.add_argument("--config", help="flat key=value file of flag values; explicit flags win")
+    p.set_defaults(func=func)
+    return p
 
 
-def _as_int_list(x) -> list[int]:
-    return [int(tok) for tok in str(x).split(",") if tok.strip() != ""]
-
-
-def _as_float_list(x) -> list[float]:
-    return [float(tok) for tok in str(x).split(",") if tok.strip() != ""]
+def _parse(parser: _Parser, commands, argv: list[str] | None) -> argparse.Namespace:
+    """Parse argv. A --config file's lines are parsed as the command's own
+    flags and become its defaults, so explicit flags win wherever they stand."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    sub = commands.choices[args.command]
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    cfg = otio.read_config(args.config)
+    unknown = sorted(set(cfg) - set(actions))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    tokens = []
+    for key, value in cfg.items():
+        flag = actions[key].option_strings[0]
+        if actions[key].nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true"):  # an on/off flag such as --quick
+            tokens.append(flag)
+        elif value.lower() not in ("0", "false"):
+            raise ValueError(f"{args.config}: {key} takes 1, true, 0 or false, got {value!r}")
+    try:
+        file_args = sub.parse_args(tokens)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
+    sub.set_defaults(**{key: getattr(file_args, key) for key in cfg})
+    return parser.parse_args(argv)
 
 
 def _instance(n: int, d: int, seed: int, lam: float) -> ProblemInstance:
@@ -101,48 +126,50 @@ def _instance(n: int, d: int, seed: int, lam: float) -> ProblemInstance:
     return ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam)
 
 
-def _manifest(out: Path, command: str, cfg: dict, metrics: dict, outputs: list[str], t0: float) -> None:
+def _manifest(args: argparse.Namespace, metrics: dict, outputs: list[str], t0: float) -> None:
+    config = {k: str(v) if isinstance(v, Path) else v for k, v in vars(args).items()
+              if k not in ("command", "config", "func")}
     otio.write_json_atomic(
         {
-            "command": command,
+            "command": args.command,
             "version": __version__,
-            "config": {k: str(v) for k, v in cfg.items()},
+            "config": config,
             "metrics": metrics,
             "outputs": sorted(outputs),
             "wall_time_s": round(time.perf_counter() - t0, 3),
         },
-        out / "manifest.json",
+        args.out / "manifest.json",
     )
+
+
+def _export(matrix: np.ndarray, out: Path, stem: str) -> list[str]:
+    """Write matrix as stem.csv and stem.pgm; returns the file names."""
+    otio.write_matrix_csv(matrix, out / f"{stem}.csv")
+    otio.write_pgm(matrix, out / f"{stem}.pgm")
+    return [f"{stem}.csv", f"{stem}.pgm"]
 
 
 def _cmd_forward(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    cfg = _resolve(args, {
-        "n": "4", "d": "1", "lambda": "0.005", "gamma": "0.01",
-        "depth": "2000", "seed": "0", "out": None, "checkpoints": None,
-    })
-    ns = list(dict.fromkeys(_as_int_list(cfg["n"])))  # each size once, in first-seen order
+    ns = list(dict.fromkeys(args.n))  # each size once, in first-seen order
     if not ns:
         raise ValueError("forward needs at least one n")
-    d, lam, gamma = _as_int(cfg["d"]), _as_float(cfg["lambda"]), _as_float(cfg["gamma"])
-    depth, seed = _as_int(cfg["depth"]), _as_int(cfg["seed"])
-    if cfg["checkpoints"] is None:
+    d, lam, depth, out = args.d, getattr(args, "lambda"), args.depth, args.out
+    if args.checkpoints is None:
         marks = sorted({k for k in (1, 300, 600, depth) if 0 < k <= depth} or {0})
     else:
-        marks = sorted(set(_as_int_list(cfg["checkpoints"])))
+        marks = sorted(set(args.checkpoints))
         if not marks:
             raise ValueError("forward needs at least one checkpoint")
         if any(k < 0 or k > depth for k in marks):
-            print(f"checkpoints must lie in [0, {depth}]", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"checkpoints must lie in [0, {depth}]")
 
-    out = Path(cfg["out"]) if cfg["out"] else None
-    weights = build_constructed_weights(d, lam, gamma)
+    weights = build_constructed_weights(d, lam, args.gamma)
     outputs: list[str] = []
     metrics: dict = {"per_n": {}}
 
     for n in ns:
-        inst = _instance(n, d, seed, lam)
+        inst = _instance(n, d, args.seed, lam)
         C = cost_matrix(inst)
         try:
             trace = forward(inst, depth, weights, checkpoints=marks, observe=divergence_guard(C, lam))
@@ -165,16 +192,10 @@ def _cmd_forward(args: argparse.Namespace) -> int:
                 "frobenius_to_fixed_point": float(np.linalg.norm(pattern - ref.plan)),
             }
             if out:
-                for ext, writer in (("csv", otio.write_matrix_csv), ("pgm", otio.write_pgm)):
-                    name = f"{prefix}A_{k:04d}.{ext}"
-                    writer(pattern, out / name)
-                    outputs.append(name)
+                outputs += _export(pattern, out, f"{prefix}A_{k:04d}")
         metrics["per_n"][str(n)] = per_layer
         if out:
-            for ext, writer in (("csv", otio.write_matrix_csv), ("pgm", otio.write_pgm)):
-                name = f"{prefix}Pstar.{ext}"
-                writer(ref.plan, out / name)
-                outputs.append(name)
+            outputs += _export(ref.plan, out, f"{prefix}Pstar")
         final = per_layer[str(marks[-1])]
         print(
             f"n={n}: layer {marks[-1]} marginal error {final['eps_star']:.3e}, "
@@ -183,22 +204,17 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     if out:
         save_weights(weights, out / "weights.json")
         outputs.append("weights.json")
-        _manifest(out, "forward", cfg, metrics, outputs, t0)
+        _manifest(args, metrics, outputs, t0)
     return EXIT_OK
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    cfg = _resolve(args, {
-        "x": None, "lambda": "0.005", "gamma": "0.01", "depth": "2000", "out": None,
-    })
-    if cfg["x"] is None:
-        print("sort requires --x (comma-separated values)", file=sys.stderr)
-        return EXIT_USAGE
-    x = np.array(_as_float_list(cfg["x"]))
-    lam, gamma, depth = _as_float(cfg["lambda"]), _as_float(cfg["gamma"]), _as_int(cfg["depth"])
+    if not args.x:
+        raise ValueError("sort needs at least one value: --x v1,v2,...")
+    x, lam, depth = np.array(args.x), getattr(args, "lambda"), args.depth
     inst = sorting_instance(x, lam)
-    weights = build_constructed_weights(inst.d, lam, gamma)
+    weights = build_constructed_weights(inst.d, lam, args.gamma)
     try:
         trace = forward(inst, depth, weights, observe=divergence_guard(cost_matrix(inst), lam))
     except DivergenceError as exc:
@@ -218,10 +234,9 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     print("sorted:   " + " ".join(f"{v:8.4f}" for v in estimate))
     print("target:   " + " ".join(f"{v:8.4f}" for v in target))
     print(f"max abs error: {err:.4f}")
-    if cfg["out"]:
-        out = Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        _manifest(out, "sort", cfg, {
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
+        _manifest(args, {
             "input": x.tolist(),
             "estimate": estimate.tolist(),
             "target": target.tolist(),
@@ -232,18 +247,9 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
 def _cmd_gd(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    cfg = _resolve(args, {
-        "n": "4", "d": "1", "lambda": "0.005", "gamma": "0.01", "radius": None,
-        "depth": "2000", "seed": "0", "out": None,
-    })
-    n, d, lam = _as_int(cfg["n"]), _as_int(cfg["d"]), _as_float(cfg["lambda"])
-    depth, seed = _as_int(cfg["depth"]), _as_int(cfg["seed"])
-    gamma = (
-        dd.radius_stepsize(n, _as_float(cfg["radius"]), lam)
-        if cfg["radius"] is not None
-        else _as_float(cfg["gamma"])
-    )
-    inst = _instance(n, d, seed, lam)
+    n, lam, depth = args.n, getattr(args, "lambda"), args.depth
+    gamma = args.gamma if args.radius is None else dd.radius_stepsize(n, args.radius, lam)
+    inst = _instance(n, args.d, args.seed, lam)
     try:
         with np.errstate(over="raise"):
             traj = dd.gd_run(cost_matrix(inst), lam, depth, gamma)
@@ -255,11 +261,10 @@ def _cmd_gd(args: argparse.Namespace) -> int:
         f"n={n} depth={depth} gamma={traj.gamma:.6g}: final marginal error {final:.3e}, "
         f"realized radius {traj.radius:.4f}"
     )
-    if cfg["out"]:
-        out = Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        dd.trajectory_to_csv(traj, out / "trajectory.csv")
-        _manifest(out, "gd", cfg, {
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
+        dd.trajectory_to_csv(traj, args.out / "trajectory.csv")
+        _manifest(args, {
             "final_marginal_error": final,
             "realized_radius": traj.radius,
             "gamma": traj.gamma,
@@ -269,49 +274,36 @@ def _cmd_gd(args: argparse.Namespace) -> int:
 
 def _cmd_sinkhorn(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    cfg = _resolve(args, {
-        "n": "4", "d": "1", "lambda": "0.005", "seed": "0", "out": None,
-        "tol": None, "max_sweeps": "100000",
-    })
-    n, d, lam, seed = _as_int(cfg["n"]), _as_int(cfg["d"]), _as_float(cfg["lambda"]), _as_int(cfg["seed"])
-    inst = _instance(n, d, seed, lam)
-    gk = sl.gibbs_kernel(cost_matrix(inst), lam)
-    tol = None if cfg["tol"] is None else _as_float(cfg["tol"])
+    lam = getattr(args, "lambda")
+    inst = _instance(args.n, args.d, args.seed, lam)
     try:
-        res = sl.sinkhorn_solve(gk, tol=tol, max_sweeps=_as_int(cfg["max_sweeps"]))
+        res = sl.sinkhorn_solve(sl.gibbs_kernel(cost_matrix(inst), lam), tol=args.tol, max_sweeps=args.max_sweeps)
     except sl.SinkhornError as exc:
         print(f"sinkhorn did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    print(f"n={n}: converged in {res.sweeps} sweeps, marginal error {res.eps_star:.3e}")
-    if cfg["out"]:
-        out = Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        otio.write_matrix_csv(res.plan, out / "Pstar.csv")
-        otio.write_pgm(res.plan, out / "Pstar.pgm")
-        _manifest(out, "sinkhorn", cfg, {"sweeps": res.sweeps, "eps_star": res.eps_star},
-                  ["Pstar.csv", "Pstar.pgm"], t0)
+    print(f"n={args.n}: converged in {res.sweeps} sweeps, marginal error {res.eps_star:.3e}")
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
+        outputs = _export(res.plan, args.out, "Pstar")
+        _manifest(args, {"sweeps": res.sweeps, "eps_star": res.eps_star}, outputs, t0)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    cfg = _resolve(args, {"seed": "0", "out": None, "quick": "0", "flip_sign": "0"})
-    quick = str(cfg["quick"]) not in ("0", "", "false", "False")
-    flip = str(cfg["flip_sign"]) not in ("0", "", "false", "False")
-    results = checks.run_all(seed=_as_int(cfg["seed"]), quick=quick, flip_sign=flip)
+    results = checks.run_all(seed=args.seed, quick=args.quick, flip_sign=args.flip_sign)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
-    if cfg["out"]:
-        out = Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
         otio.write_json_atomic(
             {
                 "version": __version__,
                 "passed": all(r.passed for r in results),
-                "results": [r.as_json() for r in results],
+                "results": [dataclasses.asdict(r) for r in results],
                 "wall_time_s": round(time.perf_counter() - t0, 3),
             },
-            out / "report.json",
+            args.out / "report.json",
         )
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
@@ -319,38 +311,36 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(prog="otlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"otlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("forward", help="run the attention solver and export patterns")
-    _add_common(p, "n", "d", "lambda", "gamma", "depth", "seed", "out", "checkpoints")
-    p.set_defaults(func=_cmd_forward)
+    p = _command(commands, "forward", _cmd_forward, "run the attention solver and export patterns",
+                 "d", "lambda", "gamma", "depth", "seed", "out")
+    p.add_argument("--n", type=_comma_list(int), default=[4], help="instance sizes, comma-separated")
+    p.add_argument("--checkpoints", type=_comma_list(int), help="comma-separated layers to export")
 
-    p = sub.add_parser("sort", help="sort values with the attention solver")
-    p.add_argument("--x", default=None, help="comma-separated values to sort")
-    _add_common(p, "lambda", "gamma", "depth", "out")
-    p.set_defaults(func=_cmd_sort)
+    p = _command(commands, "sort", _cmd_sort, "sort values with the attention solver",
+                 "lambda", "gamma", "depth", "out")
+    p.add_argument("--x", type=_comma_list(float), help="comma-separated values to sort")
 
-    p = sub.add_parser("gd", help="run the descent engine directly")
-    _add_common(p, "n", "d", "lambda", "gamma", "depth", "seed", "out")
-    p.add_argument("--radius", default=None,
+    p = _command(commands, "gd", _cmd_gd, "run the descent engine directly",
+                 "d", "lambda", "gamma", "depth", "seed", "out")
+    p.add_argument("--n", type=int, default=4, help="instance size")
+    p.add_argument("--radius", type=float,
                    help="derive the stepsize from this confinement radius instead of --gamma")
-    p.set_defaults(func=_cmd_gd)
 
-    p = sub.add_parser("sinkhorn", help="solve the scaling fixed point")
-    _add_common(p, "n", "d", "lambda", "seed", "out")
-    p.add_argument("--tol", default=None, help="marginal tolerance (default 1e-12, or 1e-8 below lambda 0.05)")
-    p.add_argument("--max-sweeps", dest="max_sweeps", default=None, help="sweep budget")
-    p.set_defaults(func=_cmd_sinkhorn)
+    p = _command(commands, "sinkhorn", _cmd_sinkhorn, "solve the scaling fixed point",
+                 "d", "lambda", "seed", "out")
+    p.add_argument("--n", type=int, default=4, help="instance size")
+    p.add_argument("--tol", type=float, help="marginal tolerance (default 1e-12, or 1e-8 below lambda 0.05)")
+    p.add_argument("--max-sweeps", type=int, default=100_000, help="sweep budget")
 
-    p = sub.add_parser("verify", help="run all verification suites")
-    _add_common(p, "seed", "out")
-    p.add_argument("--quick", action="store_const", const="1", default=None, help="reduced trial counts")
-    p.add_argument("--flip-sign", dest="flip_sign", action="store_const", const="1", default=None,
+    p = _command(commands, "verify", _cmd_verify, "run all verification suites", "seed", "out")
+    p.add_argument("--quick", action="store_true", help="reduced trial counts")
+    p.add_argument("--flip-sign", action="store_true",
                    help="inject a value-map sign fault (the suites must catch it)")
-    p.set_defaults(func=_cmd_verify)
 
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, commands, argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

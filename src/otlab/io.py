@@ -51,11 +51,20 @@ def write_pgm(A: np.ndarray, path) -> None:
             fh.write(" ".join(str(p) for p in row.tolist()) + "\n")
 
 
+def _numpy_scalar(x):
+    # json refuses numpy scalars (np.bool_ and np.int64 subclass no Python type)
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def write_json_atomic(obj, path) -> None:
+    """Sorted, indented JSON; numpy scalars are written as Python values.
+    Serialized before any file is opened, so a failure leaves nothing behind."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_numpy_scalar) + "\n"
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     os.replace(tmp, path)
 
 

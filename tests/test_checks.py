@@ -1,8 +1,14 @@
 """The verification suites themselves: quick-mode smoke, result plumbing, and
 proof that the fault injection actually trips the equivalence suite."""
 
+import dataclasses
+import json
+
+import numpy as np
+
 from otlab import checks
 from otlab import transformer_core as tc
+from otlab.io import write_json_atomic
 
 
 def test_run_all_quick_is_green():
@@ -21,14 +27,15 @@ def test_run_all_quick_is_green():
 
 
 def test_result_json_is_native(tmp_path):
-    import json
-
-    res = checks.check_gradients(cases=3, seed=1)
-    blob = res.as_json()
-    assert set(blob) == {"name", "passed", "detail", "metrics"}
-    assert blob["passed"] is True
-    assert blob["metrics"]["worst_rel_error"] <= 1e-5
-    json.dumps(blob)  # no numpy scalars allowed through
+    # the report `verify` writes: numpy scalars in a result read back as plain JSON
+    res = checks.CheckResult("demo", np.bool_(True), "ok", {
+        "flag": np.bool_(False), "count": np.int64(3), "error": np.float64(0.25), "sizes": (2, 3),
+    })
+    write_json_atomic(dataclasses.asdict(res), tmp_path / "report.json")
+    blob = json.loads((tmp_path / "report.json").read_text())
+    assert blob == {"name": "demo", "passed": True, "detail": "ok",
+                    "metrics": {"flag": False, "count": 3, "error": 0.25, "sizes": [2, 3]}}
+    assert {k: type(v) for k, v in blob["metrics"].items()} == {"flag": bool, "count": int, "error": float, "sizes": list}
 
 
 def test_flip_sign_trips_equivalence():

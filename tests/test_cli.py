@@ -29,14 +29,6 @@ from otlab.io import read_matrix_csv
 from otlab.problem import permutation_instance
 
 
-def test_no_subcommand_is_usage_error(capsys):
-    assert main([]) == 1
-
-
-def test_unknown_flag_is_usage_error():
-    assert main(["forward", "--bogus", "1"]) == 1
-
-
 def test_malformed_number_is_usage_error(capsys):
     assert main(["forward", "--n", "four"]) == 1
     assert "four" in capsys.readouterr().err
@@ -196,6 +188,16 @@ def test_sort_requires_x(capsys):
         ["sinkhorn", "--tol", "nan"],
         ["forward", "--n", ","],  # no size at all: exited 0 with no output
         ["forward", "--checkpoints", ","],  # no layer to export: raised IndexError
+        ["sort", "--x", ","],  # named the internal (0, 1) arrays
+        ["gd", "--d", "0"],  # named the internal (4, 0) arrays
+        ["sinkhorn", "--d", "0"],
+        # parser errors printed a bare usage line without the reason
+        ["forward", "--bogus", "1"],
+        ["bogus"],
+        [],
+        ["verify", "--seed", "-1"],  # named neither the flag nor the value
+        ["forward", "--depth", "10", "--checkpoints", "11"],  # had no "otlab: " prefix
+        ["sort"],
     ],
 )
 def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
@@ -205,6 +207,9 @@ def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("otlab: ")
     assert not caught
+    named = {("gd", "--d", "0"): "--d", ("sinkhorn", "--d", "0"): "--d", ("verify", "--seed", "-1"): "--seed",
+             ("sort", "--x", ","): "sort needs at least one value"}
+    assert named.get(tuple(argv), "") in err
 
 
 @pytest.mark.parametrize(
@@ -381,21 +386,32 @@ def test_verify_quick_exits_0_or_2_with_a_silent_stderr(seed, flags, code, capsy
 def test_config_file_layering(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("depth=5\nn=3\nseed=2\n")
-    out = tmp_path / "cfls"
-    # flag --depth overrides the config value; config n sticks
-    assert main(["forward", "--config", str(cfg), "--depth", "6",
-                 "--checkpoints", "6", "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["depth"] == "6"
-    assert manifest["config"]["n"] == "3"
-    assert manifest["config"]["seed"] == "2"
+    # flag --depth overrides the config value wherever it stands; config n and seed stick
+    for i, argv in enumerate((["--config", str(cfg), "--depth", "6"], ["--depth", "6", f"--config={cfg}"])):
+        out = tmp_path / f"cfls{i}"
+        assert main(["forward", *argv, "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == {"n": [3], "d": 1, "lambda": 0.005, "gamma": 0.01, "depth": 6, "seed": 2,
+                          "out": str(out), "checkpoints": None}
+
+
+def test_config_values_parse_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("quick=true\nflip_sign=1\nseed=1\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == ""
+    for line in ("seed=-1", "quick=yes"):
+        cfg.write_text(line + "\n")
+        assert main(["verify", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"otlab: {cfg}: ")
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("depht=5\n")
     assert main(["forward", "--config", str(cfg)]) == 1
-    assert "depht" in capsys.readouterr().err
+    assert capsys.readouterr().err == "otlab: unknown config keys: depht\n"
 
 
 def test_missing_config_file_is_usage_error(tmp_path):

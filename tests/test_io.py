@@ -65,6 +65,15 @@ def test_json_atomic_leaves_no_temp(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_json_atomic_writes_numpy_scalars_only(tmp_path):
+    path = tmp_path / "r.json"
+    write_json_atomic({"ok": np.bool_(True), "k": np.int64(7), "x": np.float64(0.1)}, path)
+    assert path.read_text() == '{\n  "k": 7,\n  "ok": true,\n  "x": 0.1\n}\n'
+    with pytest.raises(TypeError):
+        write_json_atomic({"a": np.zeros(2)}, tmp_path / "s.json")
+    assert list(tmp_path.iterdir()) == [path]  # the failed write left no partial temp file
+
+
 def test_read_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# full-line comments only\nn = 8\nlambda=0.05\n\n  depth =  100\n")
