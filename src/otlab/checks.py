@@ -145,20 +145,21 @@ def check_shift(trials: int = 1000, seed: int = 0) -> CheckResult:
     )
 
 
-def check_contraction(instances: int = 20, sweeps: int = 25, slack: float = 1e-9, seed: int = 0) -> CheckResult:
+def check_contraction(instances: int = 20, slack: float = 1e-9, seed: int = 0) -> CheckResult:
     """Per-sweep Hilbert-metric ratios toward the fixed point never exceed the
-    Birkhoff factor. Ratios with denominators at float noise are skipped."""
+    Birkhoff factor, observed on each kernel's own reference solve. Ratios
+    with denominators at float noise are skipped."""
     worst_excess = -np.inf
     checked = 0
     for i in range(instances):
         rng = np.random.default_rng((seed, i))
         n = int(rng.integers(2, 6))
         lam = float(rng.choice([0.5, 1.0]))
-        inst = permutation_instance(n, int(rng.integers(0, 2**32)), lam)
-        gk = sl.gibbs_kernel(cost_matrix(inst), lam)
+        gk = sl.gibbs_kernel(cost_matrix(permutation_instance(n, int(rng.integers(0, 2**32)), lam)), lam)
+        iterates = []
+        ref = sl.sinkhorn_solve(gk, tol=1e-13, observe=lambda _, logw, __: iterates.append(logw))
+        mu = [sl.hilbert_metric_logs(logw, ref.u / lam) for logw in iterates]
         eta = sl.contraction_factor(gk)
-        hist = sl.contraction_history(gk, sweeps=sweeps, reference=sl.sinkhorn_solve(gk, tol=1e-13))
-        mu = hist["mu_w"]
         for m in range(len(mu) - 1):
             if mu[m] < 1e-12:
                 continue
@@ -172,29 +173,30 @@ def check_contraction(instances: int = 20, sweeps: int = 25, slack: float = 1e-9
     )
 
 
-def _confined_run(C: np.ndarray, lam: float, r_init: float, depth_for_r) -> tuple[dd.Trajectory, float, int, bool]:
-    """Run with the radius-matched stepsize and verify the iterates actually
-    stay inside the ball the stepsize was derived for, growing the radius
-    until they do. Returns (trajectory, confirmed radius, depth, confined)."""
-    r = r_init
+def _confined_run(n: int, lam: float, seed: int, depth_for_r):
+    """Descend on permutation_instance(n, seed, lam) with the stepsize matched
+    to a radius just past the Sinkhorn duals' norm, growing the radius until
+    the iterates stay inside it. Returns (trajectory, confirmed radius,
+    depth, confined, Gibbs kernel, tol-1e-13 reference solution)."""
+    C = cost_matrix(permutation_instance(n, seed, lam))
+    gk = sl.gibbs_kernel(C, lam)
+    ref = sl.sinkhorn_solve(gk, tol=1e-13)
+    r = max(1.1 * float(np.linalg.norm(np.concatenate([ref.u, ref.v]))), 0.2)
     for _ in range(7):
         depth = depth_for_r(r)
-        traj = dd.gd_run(C, lam, depth, dd.radius_stepsize(C.shape[0], r, lam))
-        if traj.radius <= r:
-            return traj, r, depth, True
+        traj = dd.gd_run(C, lam, depth, dd.radius_stepsize(n, r, lam))
+        confined = traj.radius <= r
+        if confined:
+            break
         r = max(2.0 * r, 1.1 * traj.radius)
-    return traj, r, depth, False
+    return traj, r, depth, confined, gk, ref
 
 
 def check_stationarity(n: int = 3, lam: float = 1.0, depth: int = 5000, seed: int = 0) -> CheckResult:
     """A radius-matched-stepsize run confined to radius r must produce some
     iterate whose kernel marginals are within the predicted eps of 1/n, and
     its smallest gradient must respect the descent bound."""
-    inst = permutation_instance(n, seed, lam)
-    C = cost_matrix(inst)
-    ref = sl.sinkhorn_solve(sl.gibbs_kernel(C, lam), tol=1e-13)
-    r_init = max(1.1 * float(np.linalg.norm(np.concatenate([ref.u, ref.v]))), 0.2)
-    traj, r, _, confined = _confined_run(C, lam, r_init, lambda _: depth)
+    traj, r, _, confined, _, _ = _confined_run(n, lam, seed, lambda _: depth)
     # bounds are stated for the ball the iterates actually visited
     eps_pred = dd.best_marginal_eps(n, traj.radius, lam, depth)
     eps_min = float(traj.marginal_errors.min())
@@ -226,16 +228,10 @@ def check_depth_bound(n: int = 2, lam: float = 1.0, seed: int = 0) -> CheckResul
     """Descend deep enough to satisfy the depth-bound precondition, take the
     most stationary iterate, and compare its Hilbert distance to the scaling
     fixed point against the bound."""
-    inst = permutation_instance(n, seed, lam)
-    C = cost_matrix(inst)
-    gk = sl.gibbs_kernel(C, lam)
-    ref = sl.sinkhorn_solve(gk, tol=1e-13)
-    r_init = max(1.1 * float(np.linalg.norm(np.concatenate([ref.u, ref.v]))), 0.2)
-
     def depth_for_r(r: float) -> int:
         return math.ceil(64.0 * n**3 * math.exp(3.0 * r / lam) * r) + 1
 
-    traj, r, depth, confined = _confined_run(C, lam, r_init, depth_for_r)
+    traj, r, depth, confined, gk, ref = _confined_run(n, lam, seed, depth_for_r)
     k = int(np.argmin(traj.marginal_errors))
     u, v = traj.duals[k]
     eta = sl.contraction_factor(gk)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 import time
 from pathlib import Path
@@ -42,6 +43,12 @@ EXIT_NO_CONVERGENCE = 3
 class _Parser(argparse.ArgumentParser):
     # argparse prints its usage and exits 2 on a usage error; this tool keeps 2
     # for verification, and main reports every usage error as one line
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no flag starts with a digit, so "-1e-3" and "-0.5,1" are values;
+        # argparse's own pattern admits only plain "-2" and "-.5"
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise ValueError(message)
 
@@ -258,7 +265,7 @@ def _cmd_gd(args: argparse.Namespace) -> int:
         return EXIT_NO_CONVERGENCE
     final = float(traj.marginal_errors[-1])
     print(
-        f"n={n} depth={depth} gamma={traj.gamma:.6g}: final marginal error {final:.3e}, "
+        f"n={n} depth={depth} gamma={gamma:.6g}: final marginal error {final:.3e}, "
         f"realized radius {traj.radius:.4f}"
     )
     if args.out:
@@ -267,7 +274,7 @@ def _cmd_gd(args: argparse.Namespace) -> int:
         _manifest(args, {
             "final_marginal_error": final,
             "realized_radius": traj.radius,
-            "gamma": traj.gamma,
+            "gamma": gamma,
         }, ["trajectory.csv"], t0)
     return EXIT_OK
 

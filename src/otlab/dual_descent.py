@@ -108,8 +108,6 @@ class Trajectory:
     objectives: np.ndarray
     marginal_errors: np.ndarray
     radius: float  # max_k ||theta_k||_2 actually realized
-    gamma: float
-    deltas: np.ndarray | None = None  # weighted squared distance to a reference, if given
 
     @property
     def depth(self) -> int:
@@ -121,22 +119,12 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a, a))
 
 
-def gd_run(
-    C: np.ndarray,
-    lam: float,
-    depth: int,
-    gamma: float,
-    reference: tuple[np.ndarray, np.ndarray] | None = None,
-) -> Trajectory:
+def gd_run(C: np.ndarray, lam: float, depth: int, gamma: float) -> Trajectory:
     """Run `depth` steps of stepsize `gamma` from zero duals, recording
     per-step diagnostics.
 
     The loop makes one kernel pass per iterate and keeps its log sums; the
-    diagnostics are computed from them once, after the loop. If `reference`
-    duals (u*, v*) are given, also records Delta_k = ||theta_k - theta*||^2
-    in the inverse-stepsize metric at step k, with theta* re-gauged per step
-    so its u-mean matches the iterate's (the objective and kernel are
-    invariant under (u+c, v-c)).
+    diagnostics are computed from them once, after the loop.
     """
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
@@ -150,16 +138,10 @@ def gd_run(
         if k < depth:
             duals[k + 1] = duals[k] - gamma * _step_ratio(log_sums[k], n)
 
-    u, v = duals[:, 0], duals[:, 1]
-    objectives = _objective(log_sums[:, 0], u, v, lam)
+    objectives = _objective(log_sums[:, 0], duals[:, 0], duals[:, 1], lam)
     # the log sums are spent: their buffer holds the sums, then the gradients
-    sums = np.exp(log_sums, out=log_sums)
-    deltas = None
-    if reference is not None:
-        c = u.mean(axis=-1, keepdims=True) - reference[0].mean()
-        deltas = _weighted_sq(u, reference[0] + c, sums[:, 0]) / gamma
-        deltas += _weighted_sq(v, reference[1] - c, sums[:, 1]) / gamma
-    grads = np.subtract(sums, 1.0 / n, out=sums)
+    grads = np.exp(log_sums, out=log_sums)
+    grads -= 1.0 / n
     grad_u_norms, grad_v_norms = _norms(grads[:, 0]), _norms(grads[:, 1])
     return Trajectory(
         duals=duals,
@@ -168,17 +150,7 @@ def gd_run(
         objectives=objectives,
         marginal_errors=np.abs(grads, out=grads).max(axis=(1, 2)),
         radius=float(_norms(duals.reshape(depth + 1, 2 * n)).max()),
-        gamma=gamma,
-        deltas=deltas,
     )
-
-
-def _weighted_sq(x: np.ndarray, ref: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    # sum over the last axis of (x - ref)^2 (sums + 1); overwrites ref
-    d = np.subtract(x, ref, out=ref)
-    np.square(d, out=d)
-    d *= sums + 1.0
-    return d.sum(axis=-1)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -161,7 +161,7 @@ def _g_update(logQ: np.ndarray, logq: np.ndarray) -> np.ndarray:
     return -(np.log(n) + lse(logQ + logq[None, :], axis=1))
 
 
-def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 100_000) -> SinkhornResult:
+def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 100_000, observe=None) -> SinkhornResult:
     """Alternate column/row normalization until every marginal is within tol
     of 1/n. Raises SinkhornError (with the achieved error) if the budget runs
     out — the kernel is strictly positive in exact arithmetic, so that only
@@ -176,6 +176,10 @@ def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 
     measures its column defect from that step, and only once it is within
     tol is the plan exponentiated and checked densely; the returned plan
     always passes the dense check.
+
+    `observe(sweep, logw, logq)` sees the unit scalings (zeros) as sweep 0,
+    then each sweep's logw = g(f(previous logw)) and the logq it came from,
+    right after the row step; the arrays are never reused, so it may keep them.
     """
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
@@ -184,10 +188,15 @@ def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 
     if not tol > 0:  # also catches NaN
         raise ValueError(f"tol must be positive, got {tol}")
     n = gk.n
-    logq = _f_update(gk.logQ, np.zeros(n))
+    logw = np.zeros(n)
+    if observe is not None:
+        observe(0, logw, np.zeros(n))
+    logq = _f_update(gk.logQ, logw)
     eps = np.inf
     for sweep in range(1, max_sweeps + 1):
         logw = _g_update(gk.logQ, logq)
+        if observe is not None:
+            observe(sweep, logw, logq)
         next_logq = _f_update(gk.logQ, logw)
         eps = float(np.abs(np.expm1(logq - next_logq)).max()) / n
         if eps <= tol:
@@ -203,30 +212,6 @@ def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 
                 return SinkhornResult(u=u + c, v=v - c, plan=P, eps_star=eps, sweeps=sweep)
         logq = next_logq
     raise SinkhornError(f"no convergence to {tol} within {max_sweeps} sweeps (reached {eps})", eps_star=float(eps))
-
-
-def contraction_history(gk: GibbsKernel, sweeps: int, reference: SinkhornResult) -> dict:
-    """Hilbert-metric distances of the sweep iterates to the fixed point.
-
-    Entry m of mu_w / mu_q is the distance of log w / log q after m full
-    sweeps from unit scalings (the raw kernel) to u / lam and v / lam of the
-    `reference` solution.
-    """
-    ref_logw, ref_logq = reference.u / gk.lam, reference.v / gk.lam
-    logw = np.zeros(gk.n)
-    logq = np.zeros(gk.n)
-    mu_w = [hilbert_metric_logs(logw, ref_logw)]
-    mu_q = [hilbert_metric_logs(logq, ref_logq)]
-    for _ in range(sweeps):
-        logq = _f_update(gk.logQ, logw)
-        logw = _g_update(gk.logQ, logq)
-        mu_w.append(hilbert_metric_logs(logw, ref_logw))
-        mu_q.append(hilbert_metric_logs(logq, ref_logq))
-    return {
-        "mu_w": np.array(mu_w),
-        "mu_q": np.array(mu_q),
-        "eta": contraction_factor(gk),
-    }
 
 
 # ---------------------------------------------------------------------------

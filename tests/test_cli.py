@@ -198,6 +198,9 @@ def test_sort_requires_x(capsys):
         ["verify", "--seed", "-1"],  # named neither the flag nor the value
         ["forward", "--depth", "10", "--checkpoints", "11"],  # had no "otlab: " prefix
         ["sort"],
+        # negative values in exponent or list form were taken for a flag: "expected one argument"
+        ["gd", "--gamma", "-1e-3"],
+        ["sort", "--x", "-0.5,1"],
     ],
 )
 def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
@@ -208,7 +211,9 @@ def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("otlab: ")
     assert not caught
     named = {("gd", "--d", "0"): "--d", ("sinkhorn", "--d", "0"): "--d", ("verify", "--seed", "-1"): "--seed",
-             ("sort", "--x", ","): "sort needs at least one value"}
+             ("sort", "--x", ","): "sort needs at least one value",
+             ("gd", "--gamma", "-1e-3"): "gamma must be positive and finite",
+             ("sort", "--x", "-0.5,1"): "values to sort must lie in [0, 1]"}
     assert named.get(tuple(argv), "") in err
 
 

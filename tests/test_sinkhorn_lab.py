@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from otlab import checks
 from otlab import sinkhorn_lab as sl
 from otlab.logdomain import log_kernel, lse, marginal_error
 from otlab.problem import cost_matrix, permutation_instance, sorting_instance
@@ -224,15 +225,75 @@ def test_lse_matches_scipy_logsumexp():
         np.testing.assert_allclose(lse(a, axis), logsumexp(a, axis=axis), rtol=1e-15, atol=0)
 
 
+def _reference_iterates(gk, sweeps):
+    """The sweep loop the contraction check used to run next to the solve:
+    (log w, log q) after m = 0..sweeps full sweeps from unit scalings."""
+    n = gk.n
+    logw, logq = np.zeros(n), np.zeros(n)
+    iterates = [(logw, logq)]
+    for _ in range(sweeps):
+        logq = -(np.log(n) + lse(gk.logQ + logw[:, None], axis=0))
+        logw = -(np.log(n) + lse(gk.logQ + logq[None, :], axis=1))
+        iterates.append((logw, logq))
+    return iterates
+
+
+@pytest.mark.parametrize("n, seed, lam, tol", [(4, 2, 0.8, None), (5, 3, 0.5, 1e-13), (6, 1, 0.005, 1e-9)])
+def test_observer_sees_each_sweep_and_changes_nothing(n, seed, lam, tol):
+    gk = sl.gibbs_kernel(cost_matrix(permutation_instance(n, seed, lam)), lam)
+    seen = []
+    res = sl.sinkhorn_solve(gk, tol=tol, observe=lambda sweep, logw, logq: seen.append((sweep, logw, logq)))
+    assert [sweep for sweep, _, _ in seen] == list(range(res.sweeps + 1))
+    assert not seen[0][1].any() and not seen[0][2].any()
+    # kept without copying: each sweep hands the observer fresh arrays
+    for (_, logw, logq), (ref_w, ref_q) in zip(seen, _reference_iterates(gk, res.sweeps), strict=True):
+        assert np.array_equal(logw, ref_w) and np.array_equal(logq, ref_q)
+    plain = sl.sinkhorn_solve(gk, tol=tol)
+    for name in ("u", "v", "plan"):
+        assert np.array_equal(getattr(res, name), getattr(plain, name))
+    assert (res.eps_star, res.sweeps) == (plain.eps_star, plain.sweeps)
+
+
+def _reference_contraction_metrics(instances, seed, sweeps=25, slack=1e-9):
+    """check_contraction as it ran before it observed its own solve: the
+    reference solve, then `sweeps` more sweeps from unit scalings."""
+    worst_excess, checked = -np.inf, 0
+    for i in range(instances):
+        rng = np.random.default_rng((seed, i))
+        n = int(rng.integers(2, 6))
+        lam = float(rng.choice([0.5, 1.0]))
+        gk = sl.gibbs_kernel(cost_matrix(permutation_instance(n, int(rng.integers(0, 2**32)), lam)), lam)
+        ref = sl.sinkhorn_solve(gk, tol=1e-13)
+        eta = sl.contraction_factor(gk)
+        mu = [sl.hilbert_metric_logs(logw, ref.u / lam) for logw, _ in _reference_iterates(gk, sweeps)]
+        for m in range(sweeps):
+            if mu[m] < 1e-12:
+                continue
+            worst_excess = max(worst_excess, mu[m + 1] / mu[m] - eta)
+            checked += 1
+    return {"worst_excess": float(worst_excess), "ratios_checked": checked, "slack": slack}
+
+
+@pytest.mark.parametrize("instances", [10, 20])
+@pytest.mark.parametrize("seed", range(4))
+def test_contraction_check_matches_the_reference_loop(instances, seed):
+    result = checks.check_contraction(instances=instances, seed=seed)
+    assert result.metrics == _reference_contraction_metrics(instances, seed)
+
+
 def test_sweep_contracts_toward_fixed_point():
     gk = sl.gibbs_kernel(cost_matrix(permutation_instance(4, 2, 0.8)), 0.8)
-    hist = sl.contraction_history(gk, sweeps=12, reference=sl.sinkhorn_solve(gk))
-    eta = hist["eta"]
-    mu = hist["mu_w"]
+    iterates = []
+    res = sl.sinkhorn_solve(gk, observe=lambda _, logw, __: iterates.append(logw))
+    eta = sl.contraction_factor(gk)
+    mu = [sl.hilbert_metric_logs(logw, res.u / gk.lam) for logw in iterates]
     assert mu[0] > 0
+    checked = 0
     for m in range(len(mu) - 1):
         if mu[m] > 1e-12:
             assert mu[m + 1] <= eta * mu[m] + 1e-9
+            checked += 1
+    assert checked >= 3
 
 
 def test_normalization_shift_equals_normalizer_spread():
