@@ -13,7 +13,7 @@ import numpy as np
 from . import dual_descent as dd
 from . import sinkhorn_lab as sl
 from .oracles import finite_diff_grad
-from .problem import ProblemInstance, cost_matrix, permutation_instance
+from .problem import ProblemInstance, cost_matrix, permutation_instance, sorting_instance
 from .prompt import read_dual
 from .transformer_core import LayerWeights, build_constructed_weights, forward
 
@@ -39,7 +39,7 @@ def _random_instance(rng: np.random.Generator, n: int, d: int, lam: float) -> Pr
     return ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam)
 
 
-def _forward_deviation(insts: list[ProblemInstance], depth: int, weights: LayerWeights, gamma: float) -> float:
+def _forward_deviation(insts: list[ProblemInstance], depth: int, weights: LayerWeights) -> float:
     """max |duals(layer ell) - iterate ell| over ell = 1..depth and the
     instances, which share n and d and run as one stacked pass; each layer is
     compared with one stacked gd_step as the pass makes it."""
@@ -50,7 +50,7 @@ def _forward_deviation(insts: list[ProblemInstance], depth: int, weights: LayerW
     def compare(ell, state):
         nonlocal it, worst
         if ell:
-            it = dd.gd_step(C, it, insts[0].lam, gamma)
+            it = dd.gd_step(C, it, weights.lam, weights.gamma)
             u, v = read_dual(state)
             diff = max(np.abs(u - it.u).max(), np.abs(v - it.v).max())
             worst = max(worst, diff)
@@ -72,21 +72,19 @@ def check_gd_equivalence(
     """Layer-by-layer agreement between the forward pass and the descent
     oracle: max |duals(layer ell) - iterate ell| over every prefix and case.
     The seeds of one (lam, d, n) run as one stacked pass."""
-    cache: dict[tuple[int, float], LayerWeights] = {}
     worst = 0.0
     cases = 0
     for lam in lams:
         for d in ds:
-            key = (d, lam)
-            if key not in cache:
-                w = build_constructed_weights(d, lam, gamma)
-                cache[key] = _flip_first_value_sign(w) if flip_sign else w
+            weights = build_constructed_weights(d, lam, gamma)
+            if flip_sign:
+                weights = _flip_first_value_sign(weights)
             for n in ns:
                 insts = [
                     _random_instance(np.random.default_rng((seed, n, d, int(lam * 1000))), n, d, lam)
                     for seed in range(n_seeds)
                 ]
-                worst = max(worst, _forward_deviation(insts, depth, cache[key], gamma))
+                worst = max(worst, _forward_deviation(insts, depth, weights))
                 cases += len(insts)
     return CheckResult(
         name="gd_equivalence",
@@ -103,8 +101,7 @@ def check_gradients(cases: int = 20, tol: float = 1e-5, seed: int = 0) -> CheckR
         rng = np.random.default_rng((seed, c))
         n = int(rng.integers(2, 5))
         lam = float(rng.choice([0.5, 1.0, 2.0]))
-        inst = ProblemInstance(x=rng.uniform(0, 1, (n, 2)), y=rng.uniform(0, 1, (n, 2)), lam=lam)
-        C = cost_matrix(inst)
+        C = cost_matrix(_random_instance(rng, n, 2, lam))
         theta = rng.normal(0, 0.3, 2 * n)
 
         def fn(t):
@@ -123,26 +120,23 @@ def check_gradients(cases: int = 20, tol: float = 1e-5, seed: int = 0) -> CheckR
     )
 
 
-def check_closure(trials: int = 1000, seed: int = 0) -> CheckResult:
-    """One normalization step at most triples the marginal error."""
-    report = sl.closure_harness(trials=trials, seed=seed)
+def _harness_result(name: str, report: dict) -> CheckResult:
     return CheckResult(
-        name="closure_harness",
+        name=name,
         passed=report["violations"] == 0,
         detail=f"{report['trials']} trials: {report['violations']} violations, worst slack {report['worst_slack']:.3f}",
         metrics=report,
     )
+
+
+def check_closure(trials: int = 1000, seed: int = 0) -> CheckResult:
+    """One normalization step at most triples the marginal error."""
+    return _harness_result("closure_harness", sl.closure_harness(trials=trials, seed=seed))
 
 
 def check_shift(trials: int = 1000, seed: int = 0) -> CheckResult:
     """One normalization step moves the scalings at most 4 n eps."""
-    report = sl.shift_harness(trials=trials, seed=seed)
-    return CheckResult(
-        name="shift_harness",
-        passed=report["violations"] == 0,
-        detail=f"{report['trials']} trials: {report['violations']} violations, worst slack {report['worst_slack']:.3f}",
-        metrics=report,
-    )
+    return _harness_result("shift_harness", sl.shift_harness(trials=trials, seed=seed))
 
 
 def check_contraction(instances: int = 20, slack: float = 1e-9, seed: int = 0) -> CheckResult:
@@ -173,30 +167,24 @@ def check_contraction(instances: int = 20, slack: float = 1e-9, seed: int = 0) -
     )
 
 
-def _confined_run(n: int, lam: float, seed: int, depth_for_r):
-    """Descend on permutation_instance(n, seed, lam) with the stepsize matched
-    to a radius just past the Sinkhorn duals' norm, growing the radius until
-    the iterates stay inside it. Returns (trajectory, confirmed radius,
-    depth, confined, Gibbs kernel, tol-1e-13 reference solution)."""
-    C = cost_matrix(permutation_instance(n, seed, lam))
-    gk = sl.gibbs_kernel(C, lam)
+def _confined_run(inst: ProblemInstance, depth_for_r):
+    """Descend once on `inst` with the stepsize matched to a radius r just
+    past the Sinkhorn duals' norm, for depth_for_r(r) steps. Returns
+    (trajectory, r, confined, Gibbs kernel, tol-1e-13 reference solution);
+    a run whose iterates leave r is not confined and fails its suite."""
+    C = cost_matrix(inst)
+    gk = sl.gibbs_kernel(C, inst.lam)
     ref = sl.sinkhorn_solve(gk, tol=1e-13)
     r = max(1.1 * float(np.linalg.norm(np.concatenate([ref.u, ref.v]))), 0.2)
-    for _ in range(7):
-        depth = depth_for_r(r)
-        traj = dd.gd_run(C, lam, depth, dd.radius_stepsize(n, r, lam))
-        confined = traj.radius <= r
-        if confined:
-            break
-        r = max(2.0 * r, 1.1 * traj.radius)
-    return traj, r, depth, confined, gk, ref
+    traj = dd.gd_run(C, inst.lam, depth_for_r(r), dd.radius_stepsize(inst.n, r, inst.lam))
+    return traj, r, traj.radius <= r, gk, ref
 
 
 def check_stationarity(n: int = 3, lam: float = 1.0, depth: int = 5000, seed: int = 0) -> CheckResult:
     """A radius-matched-stepsize run confined to radius r must produce some
     iterate whose kernel marginals are within the predicted eps of 1/n, and
     its smallest gradient must respect the descent bound."""
-    traj, r, _, confined, _, _ = _confined_run(n, lam, seed, lambda _: depth)
+    traj, r, confined, _, _ = _confined_run(permutation_instance(n, seed, lam), lambda _: depth)
     # bounds are stated for the ball the iterates actually visited
     eps_pred = dd.best_marginal_eps(n, traj.radius, lam, depth)
     eps_min = float(traj.marginal_errors.min())
@@ -227,17 +215,21 @@ def check_stationarity(n: int = 3, lam: float = 1.0, depth: int = 5000, seed: in
 def check_depth_bound(n: int = 2, lam: float = 1.0, seed: int = 0) -> CheckResult:
     """Descend deep enough to satisfy the depth-bound precondition, take the
     most stationary iterate, and compare its Hilbert distance to the scaling
-    fixed point against the bound."""
+    fixed point against the bound. The instance sorts n seeded uniform
+    values: at n = 2 a permutation instance's cost is symmetric, and its
+    distance reads 0."""
     def depth_for_r(r: float) -> int:
         return math.ceil(64.0 * n**3 * math.exp(3.0 * r / lam) * r) + 1
 
-    traj, r, depth, confined, gk, ref = _confined_run(n, lam, seed, depth_for_r)
+    inst = sorting_instance(np.random.default_rng(seed).uniform(0, 1, n), lam)
+    traj, r, confined, gk, ref = _confined_run(inst, depth_for_r)
+    depth = traj.depth
     k = int(np.argmin(traj.marginal_errors))
     u, v = traj.duals[k]
     eta = sl.contraction_factor(gk)
-    # depth was sized for the confirmed radius, so the (monotone) precondition
-    # holds a fortiori at the realized one
-    bound = sl.scaling_convergence_bound(n, traj.radius, lam, eta, depth)
+    # depth was sized for r, so the (monotone) precondition holds a fortiori
+    # at the realized radius of a confined run; one that left r fails anyway
+    bound = sl.scaling_convergence_bound(n, traj.radius, lam, eta, depth) if confined else math.nan
     mu_w = sl.hilbert_metric_logs(u / lam, ref.u / lam)
     mu_q = sl.hilbert_metric_logs(v / lam, ref.v / lam)
     achieved = max(mu_w, mu_q)

@@ -168,8 +168,6 @@ def _cmd_forward(args: argparse.Namespace) -> int:
         marks = sorted(set(args.checkpoints))
         if not marks:
             raise ValueError("forward needs at least one checkpoint")
-        if any(k < 0 or k > depth for k in marks):
-            raise ValueError(f"checkpoints must lie in [0, {depth}]")
 
     weights = build_constructed_weights(d, lam, args.gamma)
     outputs: list[str] = []

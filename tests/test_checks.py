@@ -1,12 +1,15 @@
-"""The verification suites themselves: quick-mode smoke, result plumbing, and
-proof that the fault injection actually trips the equivalence suite."""
+"""The verification suites themselves: quick-mode smoke, result plumbing,
+proof that the fault injection actually trips the equivalence suite, and the
+bound suites' single descent."""
 
 import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 from otlab import checks
+from otlab import dual_descent as dd
 from otlab import transformer_core as tc
 from otlab.io import write_json_atomic
 
@@ -71,3 +74,48 @@ def test_equivalence_runs_each_group_as_one_stacked_pass(monkeypatch):
     res = checks.check_gd_equivalence()
     assert res.passed and res.metrics["cases"] == 60
     assert calls == {"forward": 12, "layer_forward": 12 * 50 + 4}
+
+
+def _counted_gd_run(monkeypatch, step_factor=1.0):
+    """Count the suites' gd_run calls; a step_factor above 1 enlarges every
+    radius-matched step, which drives the iterates out of their radius."""
+    calls = []
+    gd_run = dd.gd_run
+
+    def wrapper(C, lam, depth, gamma):
+        calls.append(depth)
+        return gd_run(C, lam, depth, step_factor * gamma)
+
+    monkeypatch.setattr(dd, "gd_run", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("suite", [checks.check_stationarity, checks.check_depth_bound])
+def test_bound_suite_descends_once(monkeypatch, suite):
+    calls = _counted_gd_run(monkeypatch)
+    res = suite(seed=0)
+    assert res.passed and res.metrics["confined"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "suite, step_factor",
+    [(checks.check_stationarity, 1e3), (checks.check_depth_bound, 1e2)],
+)
+def test_run_outside_its_radius_fails_its_suite(monkeypatch, suite, step_factor):
+    # no retry with a larger radius: the one run is reported as it went
+    calls = _counted_gd_run(monkeypatch, step_factor)
+    res = suite(seed=0)
+    assert len(calls) == 1
+    assert not res.passed
+    assert res.metrics["confined"] is False
+    assert res.metrics["radius_realized"] > res.metrics["radius_confirmed"]
+
+
+def test_depth_bound_measures_a_nonzero_distance():
+    # at n = 2 a permutation instance's cost is symmetric and its distance
+    # reads exactly 0; the seeded sorting instance is not
+    for seed in range(4):
+        res = checks.check_depth_bound(seed=seed)
+        assert res.passed
+        assert 0.0 < max(res.metrics["mu_w"], res.metrics["mu_q"]) <= res.metrics["bound"]
