@@ -13,7 +13,7 @@ import numpy as np
 from . import dual_descent as dd
 from . import sinkhorn_lab as sl
 from .oracles import finite_diff_grad
-from .problem import ProblemInstance, cost_matrix, permutation_instance, sorting_instance
+from .problem import ProblemInstance, cost_matrix, permutation_instance, sorting_instance, uniform_instance
 from .prompt import read_dual
 from .transformer_core import LayerWeights, build_constructed_weights, forward
 
@@ -36,7 +36,7 @@ def _flip_first_value_sign(weights: LayerWeights) -> LayerWeights:
 def _random_instance(rng: np.random.Generator, n: int, d: int, lam: float) -> ProblemInstance:
     if d == 1:
         return permutation_instance(n, int(rng.integers(0, 2**32)), lam)
-    return ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam)
+    return uniform_instance(rng, n, d, lam)
 
 
 def _forward_deviation(insts: list[ProblemInstance], depth: int, weights: LayerWeights) -> float:
@@ -52,34 +52,26 @@ def _forward_deviation(insts: list[ProblemInstance], depth: int, weights: LayerW
         if ell:
             it = dd.gd_step(C, it, weights.lam, weights.gamma)
             u, v = read_dual(state)
-            diff = max(np.abs(u - it.u).max(), np.abs(v - it.v).max())
-            worst = max(worst, diff)
+            worst = max(worst, np.abs(u - it.u).max(), np.abs(v - it.v).max())
 
     forward(insts, depth, weights, observe=compare)
     return worst
 
 
-def check_gd_equivalence(
-    ns: tuple[int, ...] = (2, 4, 8),
-    ds: tuple[int, ...] = (1, 2),
-    lams: tuple[float, ...] = (0.1, 1.0),
-    depth: int = 50,
-    n_seeds: int = 5,
-    gamma: float = 0.1,
-    tol: float = 1e-8,
-    flip_sign: bool = False,
-) -> CheckResult:
+def check_gd_equivalence(n_seeds: int = 5, flip_sign: bool = False) -> CheckResult:
     """Layer-by-layer agreement between the forward pass and the descent
-    oracle: max |duals(layer ell) - iterate ell| over every prefix and case.
+    oracle: max |duals(layer ell) - iterate ell| over every prefix and case,
+    within tol 1e-8. The grid is n in (2, 4, 8), d in (1, 2) and lam in
+    (0.1, 1), with n_seeds instances each, depth 50 and stepsize gamma 0.1.
     The seeds of one (lam, d, n) run as one stacked pass."""
-    worst = 0.0
-    cases = 0
-    for lam in lams:
-        for d in ds:
+    depth, gamma, tol = 50, 0.1, 1e-8
+    worst, cases = 0.0, 0
+    for lam in (0.1, 1.0):
+        for d in (1, 2):
             weights = build_constructed_weights(d, lam, gamma)
             if flip_sign:
                 weights = _flip_first_value_sign(weights)
-            for n in ns:
+            for n in (2, 4, 8):
                 insts = [
                     _random_instance(np.random.default_rng((seed, n, d, int(lam * 1000))), n, d, lam)
                     for seed in range(n_seeds)
@@ -94,14 +86,15 @@ def check_gd_equivalence(
     )
 
 
-def check_gradients(cases: int = 20, tol: float = 1e-5, seed: int = 0) -> CheckResult:
-    """Analytic dual gradient vs central differences of the objective."""
+def check_gradients(cases: int = 20, seed: int = 0) -> CheckResult:
+    """Analytic dual gradient vs central differences, within relative error 1e-5."""
+    tol = 1e-5
     worst = 0.0
     for c in range(cases):
         rng = np.random.default_rng((seed, c))
         n = int(rng.integers(2, 5))
         lam = float(rng.choice([0.5, 1.0, 2.0]))
-        C = cost_matrix(_random_instance(rng, n, 2, lam))
+        C = cost_matrix(uniform_instance(rng, n, 2, lam))
         theta = rng.normal(0, 0.3, 2 * n)
 
         def fn(t):
@@ -139,12 +132,12 @@ def check_shift(trials: int = 1000, seed: int = 0) -> CheckResult:
     return _harness_result("shift_harness", sl.shift_harness(trials=trials, seed=seed))
 
 
-def check_contraction(instances: int = 20, slack: float = 1e-9, seed: int = 0) -> CheckResult:
+def check_contraction(instances: int = 20, seed: int = 0) -> CheckResult:
     """Per-sweep Hilbert-metric ratios toward the fixed point never exceed the
-    Birkhoff factor, observed on each kernel's own reference solve. Ratios
-    with denominators at float noise are skipped."""
-    worst_excess = -np.inf
-    checked = 0
+    Birkhoff factor by more than slack 1e-9, observed on each kernel's own
+    reference solve. Ratios with denominators at float noise are skipped."""
+    slack = 1e-9
+    worst_excess, checked = -np.inf, 0
     for i in range(instances):
         rng = np.random.default_rng((seed, i))
         n = int(rng.integers(2, 6))
@@ -180,10 +173,16 @@ def _confined_run(inst: ProblemInstance, depth_for_r):
     return traj, r, traj.radius <= r, gk, ref
 
 
-def check_stationarity(n: int = 3, lam: float = 1.0, depth: int = 5000, seed: int = 0) -> CheckResult:
-    """A radius-matched-stepsize run confined to radius r must produce some
+def _cmp(a: float, b: float) -> str:
+    return "<=" if a <= b else ">"
+
+
+def check_stationarity(seed: int = 0) -> CheckResult:
+    """A radius-matched-stepsize run of depth 5000 on the n = 3, lam = 1
+    permutation instance of `seed`, confined to radius r, must produce some
     iterate whose kernel marginals are within the predicted eps of 1/n, and
     its smallest gradient must respect the descent bound."""
+    n, lam, depth = 3, 1.0, 5000
     traj, r, confined, _, _ = _confined_run(permutation_instance(n, seed, lam), lambda _: depth)
     # bounds are stated for the ball the iterates actually visited
     eps_pred = dd.best_marginal_eps(n, traj.radius, lam, depth)
@@ -196,9 +195,9 @@ def check_stationarity(n: int = 3, lam: float = 1.0, depth: int = 5000, seed: in
         name="stationarity",
         passed=passed,
         detail=(
-            f"depth {depth}, radius {r:.3f} (realized {traj.radius:.3f}): "
-            f"best marginal error {eps_min:.3e} <= predicted {eps_pred:.3e}; "
-            f"min grad^2 {grad_sq_min:.3e} <= bound {grad_bound:.3e}"
+            f"depth {depth}, {'' if confined else 'left '}radius {r:.3f} (realized {traj.radius:.3f}): "
+            f"best marginal error {eps_min:.3e} {_cmp(eps_min, eps_pred)} predicted {eps_pred:.3e}; "
+            f"min grad^2 {grad_sq_min:.3e} {_cmp(grad_sq_min, grad_bound)} bound {grad_bound:.3e}"
         ),
         metrics={
             "eps_min": eps_min,
@@ -212,12 +211,13 @@ def check_stationarity(n: int = 3, lam: float = 1.0, depth: int = 5000, seed: in
     )
 
 
-def check_depth_bound(n: int = 2, lam: float = 1.0, seed: int = 0) -> CheckResult:
+def check_depth_bound(seed: int = 0) -> CheckResult:
     """Descend deep enough to satisfy the depth-bound precondition, take the
     most stationary iterate, and compare its Hilbert distance to the scaling
-    fixed point against the bound. The instance sorts n seeded uniform
-    values: at n = 2 a permutation instance's cost is symmetric, and its
-    distance reads 0."""
+    fixed point against the bound. The instance sorts n = 2 values drawn
+    uniformly from `seed`, at lam = 1: at n = 2 a permutation instance's cost
+    is symmetric, and its distance reads 0."""
+    n, lam = 2, 1.0
     def depth_for_r(r: float) -> int:
         return math.ceil(64.0 * n**3 * math.exp(3.0 * r / lam) * r) + 1
 
@@ -233,13 +233,14 @@ def check_depth_bound(n: int = 2, lam: float = 1.0, seed: int = 0) -> CheckResul
     mu_w = sl.hilbert_metric_logs(u / lam, ref.u / lam)
     mu_q = sl.hilbert_metric_logs(v / lam, ref.v / lam)
     achieved = max(mu_w, mu_q)
+    if confined:
+        where, against = "(precondition-satisfying)", f"{_cmp(achieved, bound)} bound {bound:.3e}"
+    else:
+        where, against = f"(left radius {r:.3f}, realized {traj.radius:.3f})", "has no bound outside it"
     return CheckResult(
         name="depth_bound",
         passed=confined and achieved <= bound,
-        detail=(
-            f"depth {depth} (precondition-satisfying), stationary layer {k}: "
-            f"scaling distance {achieved:.3e} <= bound {bound:.3e}"
-        ),
+        detail=f"depth {depth} {where}, stationary layer {k}: scaling distance {achieved:.3e} {against}",
         metrics={
             "depth": depth,
             "layer": k,

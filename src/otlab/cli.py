@@ -22,7 +22,7 @@ from . import io as otio
 from . import sinkhorn_lab as sl
 from .logdomain import marginal_error
 from .oracles import sort_oracle
-from .problem import ProblemInstance, cost_matrix, permutation_instance, sorting_instance
+from .problem import ProblemInstance, cost_matrix, permutation_instance, sorting_instance, uniform_instance
 from .transformer_core import (
     DegeneratePlanRowError,
     DivergenceError,
@@ -129,8 +129,7 @@ def _parse(parser: _Parser, commands, argv: list[str] | None) -> argparse.Namesp
 def _instance(n: int, d: int, seed: int, lam: float) -> ProblemInstance:
     if d == 1:
         return permutation_instance(n, seed, lam)
-    rng = np.random.default_rng(seed)
-    return ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam)
+    return uniform_instance(np.random.default_rng(seed), n, d, lam)
 
 
 def _manifest(args: argparse.Namespace, metrics: dict, outputs: list[str], t0: float) -> None:

@@ -59,6 +59,11 @@ def cost_matrix(inst: ProblemInstance) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def uniform_instance(rng: np.random.Generator, n: int, d: int, lam: float) -> ProblemInstance:
+    """Instance with x, then y, drawn uniformly from [0, 1)^(n, d) by rng."""
+    return ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam)
+
+
 def _splitmix64(state: int) -> tuple[int, int]:
     # One step of the SplitMix64 stream (Steele et al.); fixed here so that
     # seeded instances reproduce bit-for-bit across implementations.

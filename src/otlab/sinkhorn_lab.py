@@ -43,10 +43,6 @@ class GibbsKernel:
     lam: float
 
     @property
-    def Q(self) -> np.ndarray:
-        return np.exp(self.logQ)
-
-    @property
     def n(self) -> int:
         return self.logQ.shape[0]
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import dual_descent as dd
 from .logdomain import log_kernel
-from .problem import ProblemInstance, cost_matrix
+from .problem import ProblemInstance, cost_matrix, uniform_instance
 from .prompt import HiddenState, PromptLayout, build_prompt, read_dual, with_duals
 
 _RESET_GUARD = 1e8
@@ -193,10 +193,9 @@ def _probe_check(weights: LayerWeights) -> None:
     """
     rng = np.random.default_rng(1234)
     n, d, lam = 3, weights.d, weights.lam
-    inst = ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam)
+    inst = uniform_instance(rng, n, d, lam)
     sigma = min(0.05, 10.0 * lam)  # keep probe kernel exponents overflow-free at tiny lam
-    u = rng.normal(0, sigma, n)
-    v = rng.normal(0, sigma, n)
+    u, v = rng.normal(0, sigma, n), rng.normal(0, sigma, n)
     state = with_duals(build_prompt(inst), u, v)
     C = cost_matrix(inst)
     lay = state.layout

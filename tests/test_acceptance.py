@@ -55,9 +55,7 @@ def final_kernel8(shared_weights):
 
 def test_c01_layerwise_equivalence(criterion):
     t0 = time.perf_counter()
-    res = checks.check_gd_equivalence(
-        ns=(2, 4, 8), ds=(1, 2), lams=(0.1, 1.0), depth=50, n_seeds=5, gamma=0.1, tol=1e-8
-    )
+    res = checks.check_gd_equivalence(n_seeds=5)
     dt = time.perf_counter() - t0
     ok = res.passed and dt < 10.0
     assert criterion(1, "layerwise equivalence", ok,
@@ -179,7 +177,7 @@ def test_c10_oracle_agreement(criterion):
 
 
 def test_c11_gradient_correctness(criterion):
-    res = checks.check_gradients(cases=20, tol=1e-5)
+    res = checks.check_gradients(cases=20, seed=0)
     assert criterion(11, "gradient correctness", res.passed, res.detail)
 
 

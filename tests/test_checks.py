@@ -42,17 +42,15 @@ def test_result_json_is_native(tmp_path):
 
 
 def test_flip_sign_trips_equivalence():
-    res = checks.check_gd_equivalence(
-        ns=(3,), ds=(1,), lams=(0.5,), depth=5, n_seeds=1, flip_sign=True
-    )
+    res = checks.check_gd_equivalence(n_seeds=1, flip_sign=True)
     assert not res.passed
     assert res.metrics["max_deviation"] > 1e-8
 
 
 def test_equivalence_metrics_report_worst_case():
-    res = checks.check_gd_equivalence(ns=(2, 3), ds=(1,), lams=(0.5,), depth=10, n_seeds=2)
+    res = checks.check_gd_equivalence(n_seeds=2)
     assert res.passed
-    assert res.metrics["cases"] == 4
+    assert res.metrics["cases"] == 24
     assert 0.0 <= res.metrics["max_deviation"] <= 1e-8
 
 
@@ -99,17 +97,42 @@ def test_bound_suite_descends_once(monkeypatch, suite):
 
 
 @pytest.mark.parametrize(
-    "suite, step_factor",
-    [(checks.check_stationarity, 1e3), (checks.check_depth_bound, 1e2)],
+    "suite, step_factor, detail",
+    [
+        (checks.check_stationarity, 1e3, "depth 5000, left radius 1.433 (realized 22.461): "),
+        (checks.check_depth_bound, 1e2,
+         "depth 561 (left radius 0.365, realized 17.530), stationary layer 0: "
+         "scaling distance 2.966e-01 has no bound outside it"),
+    ],
 )
-def test_run_outside_its_radius_fails_its_suite(monkeypatch, suite, step_factor):
-    # no retry with a larger radius: the one run is reported as it went
+def test_run_outside_its_radius_fails_its_suite(monkeypatch, suite, step_factor, detail):
+    # no retry with a larger radius: the one run is reported as it went, and
+    # its line names the radius it left instead of a precondition or a bound
     calls = _counted_gd_run(monkeypatch, step_factor)
     res = suite(seed=0)
     assert len(calls) == 1
     assert not res.passed
     assert res.metrics["confined"] is False
     assert res.metrics["radius_realized"] > res.metrics["radius_confirmed"]
+    assert res.detail.startswith(detail)
+    assert "precondition" not in res.detail and "nan" not in res.detail
+
+
+@pytest.mark.parametrize(
+    "suite, module, bound, failed",
+    [
+        (checks.check_stationarity, dd, "best_marginal_eps", "> predicted 0.000e+00; "),
+        (checks.check_stationarity, dd, "min_grad_bound", "> bound 0.000e+00"),
+        (checks.check_depth_bound, checks.sl, "scaling_convergence_bound", "> bound 0.000e+00"),
+    ],
+)
+def test_failed_comparison_reads_greater_than(monkeypatch, suite, module, bound, failed):
+    # a bound of 0 fails its comparison on a confined run; only that one flips
+    monkeypatch.setattr(module, bound, lambda *args: 0.0)
+    res = suite(seed=0)
+    assert not res.passed and res.metrics["confined"]
+    assert failed in res.detail
+    assert res.detail.count(">") == 1
 
 
 def test_depth_bound_measures_a_nonzero_distance():

@@ -7,6 +7,7 @@ from otlab.problem import (
     permutation_instance,
     seeded_permutation,
     sorting_instance,
+    uniform_instance,
 )
 
 
@@ -93,3 +94,12 @@ def test_sorting_instance_targets_sorted_grid():
     np.testing.assert_array_equal(inst.x.ravel(), [0.5, 0.75, 0.25, 0.0])
     np.testing.assert_array_equal(inst.y.ravel(), np.sort(inst.y.ravel()))
     assert inst.lam == 0.01
+
+
+def test_uniform_instance_draws_x_then_y():
+    # pinned: verify's d = 2 instances, the CLI's `--d` > 1 instances and the weight probe draw these bits
+    inst = uniform_instance(np.random.default_rng(7), 3, 2, 0.5)
+    rng = np.random.default_rng(7)
+    np.testing.assert_array_equal(inst.x, rng.uniform(0, 1, (3, 2)))
+    np.testing.assert_array_equal(inst.y, rng.uniform(0, 1, (3, 2)))
+    assert (inst.n, inst.d, inst.lam) == (3, 2, 0.5)

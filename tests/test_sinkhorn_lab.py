@@ -28,7 +28,7 @@ positive_vectors = st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=6).map(np
 
 def test_gibbs_kernel_frozen_and_shape():
     gk = sl.gibbs_kernel(np.zeros((1, 1)), 1.0)
-    np.testing.assert_allclose(gk.Q, [[math.exp(-1)]], rtol=1e-15)
+    np.testing.assert_allclose(np.exp(gk.logQ), [[math.exp(-1)]], rtol=1e-15)
     gk2 = sl.gibbs_kernel(np.array([[0.0, 2.0], [2.0, 0.0]]), 2.0)
     np.testing.assert_allclose(gk2.logQ, [[-1.0, -2.0], [-2.0, -1.0]])
     assert gk2.n == 2
