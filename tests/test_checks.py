@@ -96,16 +96,18 @@ def test_bound_suite_descends_once(monkeypatch, suite):
     assert len(calls) == 1
 
 
+_LEFT_RADIUS_DETAIL = {
+    "check_stationarity": "depth 5000, left radius 1.433 (realized 22.461): ",
+    "check_depth_bound": "depth 561 (left radius 0.365, realized 17.530), stationary layer 0: "
+    "scaling distance 2.966e-01 has no bound outside it",
+}
+
+
 @pytest.mark.parametrize(
-    "suite, step_factor, detail",
-    [
-        (checks.check_stationarity, 1e3, "depth 5000, left radius 1.433 (realized 22.461): "),
-        (checks.check_depth_bound, 1e2,
-         "depth 561 (left radius 0.365, realized 17.530), stationary layer 0: "
-         "scaling distance 2.966e-01 has no bound outside it"),
-    ],
+    "suite, step_factor",
+    [(checks.check_stationarity, 1e3), (checks.check_depth_bound, 1e2)],
 )
-def test_run_outside_its_radius_fails_its_suite(monkeypatch, suite, step_factor, detail):
+def test_run_outside_its_radius_fails_its_suite(monkeypatch, suite, step_factor):
     # no retry with a larger radius: the one run is reported as it went, and
     # its line names the radius it left instead of a precondition or a bound
     calls = _counted_gd_run(monkeypatch, step_factor)
@@ -114,7 +116,7 @@ def test_run_outside_its_radius_fails_its_suite(monkeypatch, suite, step_factor,
     assert not res.passed
     assert res.metrics["confined"] is False
     assert res.metrics["radius_realized"] > res.metrics["radius_confirmed"]
-    assert res.detail.startswith(detail)
+    assert res.detail.startswith(_LEFT_RADIUS_DETAIL[suite.__name__])
     assert "precondition" not in res.detail and "nan" not in res.detail
 
 
