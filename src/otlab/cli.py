@@ -132,24 +132,20 @@ def _instance(n: int, d: int, seed: int, lam: float) -> ProblemInstance:
     return uniform_instance(np.random.default_rng(seed), n, d, lam)
 
 
-def _manifest(args: argparse.Namespace, metrics: dict, outputs: list[str], t0: float) -> None:
+def _record(args: argparse.Namespace, name: str, body: dict, t0: float) -> None:
+    """Write body to args.out/name, stamped with the command, its parsed
+    flags, the otlab version and the wall time since t0."""
     config = {k: str(v) if isinstance(v, Path) else v for k, v in vars(args).items()
               if k not in ("command", "config", "func")}
-    otio.write_json_atomic(
-        {
-            "command": args.command,
-            "version": __version__,
-            "config": config,
-            "metrics": metrics,
-            "outputs": sorted(outputs),
-            "wall_time_s": round(time.perf_counter() - t0, 3),
-        },
-        args.out / "manifest.json",
-    )
+    args.out.mkdir(parents=True, exist_ok=True)
+    stamp = {"command": args.command, "config": config, "version": __version__,
+             "wall_time_s": round(time.perf_counter() - t0, 3)}
+    otio.write_json_atomic({**body, **stamp}, args.out / name)
 
 
 def _export(matrix: np.ndarray, out: Path, stem: str) -> list[str]:
-    """Write matrix as stem.csv and stem.pgm; returns the file names."""
+    """Write matrix as stem.csv and stem.pgm, making out first; returns the file names."""
+    out.mkdir(parents=True, exist_ok=True)
     otio.write_matrix_csv(matrix, out / f"{stem}.csv")
     otio.write_pgm(matrix, out / f"{stem}.pgm")
     return [f"{stem}.csv", f"{stem}.pgm"]
@@ -186,8 +182,6 @@ def _cmd_forward(args: argparse.Namespace) -> int:
             print(f"reference scaling did not converge: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         prefix = "" if len(ns) == 1 else f"n{n}_"
-        if out:  # made only once there is something to write into it
-            out.mkdir(parents=True, exist_ok=True)
         per_layer = {}
         for k in marks:
             pattern = attention_pattern(trace.state(k), weights.heads[0], "raw_kernel")
@@ -208,7 +202,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     if out:
         save_weights(weights, out / "weights.json")
         outputs.append("weights.json")
-        _manifest(args, metrics, outputs, t0)
+        _record(args, "manifest.json", {"metrics": metrics, "outputs": sorted(outputs)}, t0)
     return EXIT_OK
 
 
@@ -239,13 +233,9 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     print("target:   " + " ".join(f"{v:8.4f}" for v in target))
     print(f"max abs error: {err:.4f}")
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        _manifest(args, {
-            "input": x.tolist(),
-            "estimate": estimate.tolist(),
-            "target": target.tolist(),
-            "max_abs_error": err,
-        }, [], t0)
+        metrics = {"input": x.tolist(), "estimate": estimate.tolist(), "target": target.tolist(),
+                   "max_abs_error": err}
+        _record(args, "manifest.json", {"metrics": metrics, "outputs": []}, t0)
     return EXIT_OK
 
 
@@ -268,11 +258,8 @@ def _cmd_gd(args: argparse.Namespace) -> int:
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         dd.trajectory_to_csv(traj, args.out / "trajectory.csv")
-        _manifest(args, {
-            "final_marginal_error": final,
-            "realized_radius": traj.radius,
-            "gamma": gamma,
-        }, ["trajectory.csv"], t0)
+        metrics = {"final_marginal_error": final, "realized_radius": traj.radius, "gamma": gamma}
+        _record(args, "manifest.json", {"metrics": metrics, "outputs": ["trajectory.csv"]}, t0)
     return EXIT_OK
 
 
@@ -287,9 +274,9 @@ def _cmd_sinkhorn(args: argparse.Namespace) -> int:
         return EXIT_NO_CONVERGENCE
     print(f"n={args.n}: converged in {res.sweeps} sweeps, marginal error {res.eps_star:.3e}")
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
         outputs = _export(res.plan, args.out, "Pstar")
-        _manifest(args, {"sweeps": res.sweeps, "eps_star": res.eps_star}, outputs, t0)
+        metrics = {"sweeps": res.sweeps, "eps_star": res.eps_star}
+        _record(args, "manifest.json", {"metrics": metrics, "outputs": outputs}, t0)
     return EXIT_OK
 
 
@@ -298,18 +285,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     results = checks.run_all(seed=args.seed, quick=args.quick, flip_sign=args.flip_sign)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
+    passed = all(r.passed for r in results)
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        otio.write_json_atomic(
-            {
-                "version": __version__,
-                "passed": all(r.passed for r in results),
-                "results": [dataclasses.asdict(r) for r in results],
-                "wall_time_s": round(time.perf_counter() - t0, 3),
-            },
-            args.out / "report.json",
-        )
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
+        rows = [dataclasses.asdict(r) for r in results]
+        _record(args, "report.json", {"passed": passed, "results": rows}, t0)
+    return EXIT_OK if passed else EXIT_VERIFY
 
 
 def main(argv: list[str] | None = None) -> int:

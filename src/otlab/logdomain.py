@@ -30,10 +30,10 @@ def log_kernel(C: np.ndarray, u: np.ndarray, v: np.ndarray, lam: float) -> np.nd
 
 
 def square_matrices(A) -> np.ndarray:
-    """A as floats: one square matrix, or a stack of them over the last two axes."""
+    """A as floats: one non-empty square matrix, or a stack of them over the last two axes."""
     A = np.asarray(A, dtype=float)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise ValueError("expected a square matrix")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
+        raise ValueError("expected a non-empty square matrix")
     return A
 
 

@@ -32,8 +32,8 @@ def brute_force_ot(C: np.ndarray) -> PermutationPlan:
     """
     C = np.asarray(C, dtype=float)
     n = C.shape[0]
-    if C.shape != (n, n):
-        raise ValueError("cost matrix must be square")
+    if C.shape != (n, n) or n == 0:
+        raise ValueError("cost matrix must be square and non-empty")
     if n > MAX_BRUTE_FORCE_N:
         raise ValueError(f"refusing to enumerate {n}! permutations (n > {MAX_BRUTE_FORCE_N})")
     rows = np.arange(n)

@@ -49,8 +49,8 @@ class GibbsKernel:
 
 def gibbs_kernel(C: np.ndarray, lam: float) -> GibbsKernel:
     C = np.asarray(C, dtype=float)
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError("lam must be positive and finite")
     return GibbsKernel(logQ=-C / lam - 1.0, lam=lam)
 
 
@@ -228,14 +228,20 @@ def normalization_mu_shifts(A: np.ndarray) -> tuple:
     return tuple(map(float, shifts)) if lc.ndim == 1 else shifts
 
 
+def scaling_bound_depth(n: int, r: float, lam: float) -> float:
+    """The depth 64 n^3 e^{3r/lam} r from which scaling_convergence_bound
+    applies; inf once the exponential overflows."""
+    return float(64.0 * n**3 * np.exp(3.0 * r / lam) * r)
+
+
 def scaling_convergence_bound(n: int, r: float, lam: float, eta: float, depth: int) -> float:
     """Distance bound 36 n^{3/2} e^{r/lam} sqrt(r) / (sqrt(depth) (1 - eta))
     for the scalings reached by descending `depth` steps and then following
-    the contraction; only valid once depth >= 64 n^3 e^{3r/lam} r.
+    the contraction; only valid once depth >= scaling_bound_depth(n, r, lam).
     """
     if not 0 <= eta < 1:
         raise BoundNotApplicableError(f"contraction factor must be in [0, 1), got {eta}")
-    needed = 64.0 * n**3 * np.exp(3.0 * r / lam) * r
+    needed = scaling_bound_depth(n, r, lam)
     if depth < needed:
         raise BoundNotApplicableError(f"depth {depth} below the bound's precondition {needed:.3g}")
     return float(36.0 * n**1.5 * np.exp(r / lam) * np.sqrt(r) / (np.sqrt(depth) * (1.0 - eta)))

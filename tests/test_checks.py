@@ -4,6 +4,7 @@ bound suites' single descent."""
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -144,3 +145,18 @@ def test_depth_bound_measures_a_nonzero_distance():
         res = checks.check_depth_bound(seed=seed)
         assert res.passed
         assert 0.0 < max(res.metrics["mu_w"], res.metrics["mu_q"]) <= res.metrics["bound"]
+
+
+def test_depth_bound_descends_to_the_bounds_precondition():
+    res = checks.check_depth_bound(seed=0)
+    needed = checks.sl.scaling_bound_depth(2, res.metrics["radius_confirmed"], 1.0)
+    assert res.metrics["depth"] == math.ceil(needed) + 1
+
+
+def test_contraction_that_checks_no_ratio_fails(monkeypatch):
+    # no kernel, or only ratios at float noise, passed with "worst ratio-minus-eta -inf"
+    res = checks.check_contraction(instances=0)
+    assert not res.passed and res.metrics["ratios_checked"] == 0
+    monkeypatch.setattr(checks.sl, "hilbert_metric_logs", lambda *args: 0.0)
+    res = checks.check_contraction(instances=2)
+    assert not res.passed and res.metrics["ratios_checked"] == 0

@@ -378,6 +378,30 @@ def test_verify_flip_sign_exits_2(tmp_path, capsys):
     assert "gd_equivalence" in failed
 
 
+def test_every_record_carries_one_stamp(tmp_path, capsys):
+    # the command, its parsed flags, the version and the wall time, in
+    # manifest.json and in verify's report.json alike
+    stamp = {"command", "config", "version", "wall_time_s"}
+    runs = {
+        "forward": ["--n", "3", "--depth", "5", "--checkpoints", "5"],
+        "sort": ["--x", "0.9,0.1", "--depth", "50"],
+        "gd": ["--n", "3", "--lambda", "0.5", "--depth", "5"],
+        "sinkhorn": ["--n", "3", "--lambda", "0.8"],
+    }
+    for command, argv in runs.items():
+        out = tmp_path / command
+        assert main([command, *argv, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == stamp | {"metrics", "outputs"}
+        assert (manifest["command"], manifest["version"]) == (command, otlab.__version__)
+    out = tmp_path / "verify"
+    assert main(["verify", "--quick", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == stamp | {"passed", "results"}
+    assert (report["command"], report["version"]) == ("verify", otlab.__version__)
+    assert report["config"] == {"seed": 0, "out": str(out), "quick": True, "flip_sign": False}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("flags, code", [([], 0), (["--flip-sign"], 2)])
 def test_verify_quick_exits_0_or_2_with_a_silent_stderr(seed, flags, code, capsys):

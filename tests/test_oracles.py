@@ -45,6 +45,12 @@ def test_brute_force_tie_break_is_lexicographic():
     assert brute_force_ot(np.zeros((3, 3))).perm == (0, 1, 2)
 
 
+def test_brute_force_rejects_an_empty_cost_matrix():
+    # a 0 x 0 cost matrix was searched and its cost divided by n = 0
+    with pytest.raises(ValueError, match="non-empty"):
+        brute_force_ot(np.zeros((0, 0)))
+
+
 def test_brute_force_rejects_large_n():
     with pytest.raises(ValueError):
         brute_force_ot(np.zeros((10, 10)))

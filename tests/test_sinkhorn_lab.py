@@ -35,8 +35,10 @@ def test_gibbs_kernel_frozen_and_shape():
 
 
 def test_gibbs_kernel_rejects_bad_lam():
-    with pytest.raises(ValueError):
-        sl.gibbs_kernel(np.zeros((2, 2)), 0.0)
+    # lam = inf was accepted, and its solve returned NaN scalings
+    for lam in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sl.gibbs_kernel(np.ones((2, 2)), lam)
 
 
 def test_f_map_fixes_columns_g_map_fixes_rows():
@@ -74,6 +76,12 @@ def test_marginal_error_and_membership():
     assert marginal_error(B) == pytest.approx(0.01, rel=1e-12)
     with pytest.raises(ValueError):
         marginal_error(np.ones((2, 3)))
+
+
+def test_marginal_error_rejects_an_empty_matrix():
+    # a 0 x 0 matrix passed the shape check and raised ZeroDivisionError
+    with pytest.raises(ValueError, match="non-empty square matrix"):
+        marginal_error(np.zeros((0, 0)))
 
 
 def _mu(w, wp):
@@ -425,3 +433,15 @@ def test_scaling_convergence_bound_preconditions():
     bound = sl.scaling_convergence_bound(n, r, lam, eta, depth)
     expected = 36 * n**1.5 * math.exp(r / lam) * math.sqrt(r) / (math.sqrt(depth) * (1 - eta))
     assert bound == pytest.approx(expected, rel=1e-12)
+
+
+def test_scaling_bound_depth_is_the_bounds_precondition():
+    n, r, lam = 2, 0.25, 1.0
+    needed = sl.scaling_bound_depth(n, r, lam)
+    assert needed == pytest.approx(64 * n**3 * math.exp(3 * r / lam) * r, rel=1e-15)
+    sl.scaling_convergence_bound(n, r, lam, 0.5, math.ceil(needed))
+    with pytest.raises(sl.BoundNotApplicableError):
+        sl.scaling_convergence_bound(n, r, lam, 0.5, math.ceil(needed) - 1)
+    # a radius whose exponential overflows asks for infinite depth, not an OverflowError
+    with np.errstate(over="ignore"):
+        assert sl.scaling_bound_depth(n, 1e4, lam) == math.inf
