@@ -171,16 +171,8 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     for n in ns:
         inst = _instance(n, d, args.seed, lam)
         C = cost_matrix(inst)
-        try:
-            trace = forward(inst, depth, weights, checkpoints=marks, observe=divergence_guard(C, lam))
-        except DivergenceError as exc:
-            print(f"n={n}: {exc}; the run diverged", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
-        try:
-            ref = sl.sinkhorn_solve(sl.gibbs_kernel(C, lam))
-        except sl.SinkhornError as exc:
-            print(f"reference scaling did not converge: {exc}", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
+        trace = forward(inst, depth, weights, checkpoints=marks, observe=divergence_guard(C, lam))
+        ref = sl.sinkhorn_solve(sl.gibbs_kernel(C, lam))
         prefix = "" if len(ns) == 1 else f"n{n}_"
         per_layer = {}
         for k in marks:
@@ -213,19 +205,11 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     x, lam, depth = np.array(args.x), getattr(args, "lambda"), args.depth
     inst = sorting_instance(x, lam)
     weights = build_constructed_weights(inst.d, lam, args.gamma)
-    try:
-        trace = forward(inst, depth, weights, observe=divergence_guard(cost_matrix(inst), lam))
-    except DivergenceError as exc:
-        print(f"n={inst.n}: {exc}; the run diverged", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    trace = forward(inst, depth, weights, observe=divergence_guard(cost_matrix(inst), lam))
     # head 2's kernel block is the transposed plan, whose barycentric image of
     # x lands each rank at its sorted position
     plan_t = attention_pattern(trace.states[-1], weights.heads[1], "raw_kernel")
-    try:
-        estimate = apply_plan(plan_t, x)
-    except DegeneratePlanRowError:
-        print(f"n={inst.n}: the layer-{depth} plan has a zero row; the run did not converge", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    estimate = apply_plan(plan_t, x)
     target = sort_oracle(x)
     err = float(np.abs(estimate - target).max())
     print("input:    " + " ".join(f"{v:8.4f}" for v in x))
@@ -244,12 +228,8 @@ def _cmd_gd(args: argparse.Namespace) -> int:
     n, lam, depth = args.n, getattr(args, "lambda"), args.depth
     gamma = args.gamma if args.radius is None else dd.radius_stepsize(n, args.radius, lam)
     inst = _instance(n, args.d, args.seed, lam)
-    try:
-        with np.errstate(over="raise"):
-            traj = dd.gd_run(cost_matrix(inst), lam, depth, gamma)
-    except FloatingPointError:
-        print(f"n={n}: descent overflows within {depth} steps; the run diverged", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    with np.errstate(over="raise"):  # an overflow ends the run as FloatingPointError
+        traj = dd.gd_run(cost_matrix(inst), lam, depth, gamma)
     final = float(traj.marginal_errors[-1])
     print(
         f"n={n} depth={depth} gamma={gamma:.6g}: final marginal error {final:.3e}, "
@@ -267,11 +247,7 @@ def _cmd_sinkhorn(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     lam = getattr(args, "lambda")
     inst = _instance(args.n, args.d, args.seed, lam)
-    try:
-        res = sl.sinkhorn_solve(sl.gibbs_kernel(cost_matrix(inst), lam), tol=args.tol, max_sweeps=args.max_sweeps)
-    except sl.SinkhornError as exc:
-        print(f"sinkhorn did not converge: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    res = sl.sinkhorn_solve(sl.gibbs_kernel(cost_matrix(inst), lam), tol=args.tol, max_sweeps=args.max_sweeps)
     print(f"n={args.n}: converged in {res.sweeps} sweeps, marginal error {res.eps_star:.3e}")
     if args.out:
         outputs = _export(res.plan, args.out, "Pstar")
@@ -328,10 +304,13 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except DivergenceError as exc:
+    except (DivergenceError, FloatingPointError) as exc:
         print(f"otlab: {exc}; the run diverged", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ValueError, OSError) as exc:
+    except (sl.SinkhornError, DegeneratePlanRowError) as exc:  # before ValueError: a zero row is one
+        print(f"otlab: {exc}; the run did not converge", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"otlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

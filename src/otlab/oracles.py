@@ -98,12 +98,15 @@ def round_plan(P: np.ndarray) -> tuple[int, ...]:
     """Round a transport plan to a permutation by row-wise argmax.
 
     Raises DegeneratePlanError when any row's maximum is tied or the argmax
-    map fails to be a bijection (e.g. the uniform plan).
+    map fails to be a bijection (e.g. the uniform plan), and ValueError for a
+    plan that is empty or not finite.
     """
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
-    if P.shape != (n, n):
-        raise ValueError("plan must be square")
+    if P.shape != (n, n) or n == 0:
+        raise ValueError("plan must be square and non-empty")
+    if not np.isfinite(P).all():
+        raise ValueError("plan entries must be finite")
     perm = []
     for i in range(n):
         row = P[i]

@@ -107,13 +107,8 @@ def log_max_cross_ratio(logQ: np.ndarray) -> float:
     logQ = square_matrices(logQ)
     if logQ.ndim != 2:
         raise ValueError("expected one kernel, not a stack")
-    n = logQ.shape[0]
-    best = 0.0
-    for k in range(n):
-        for l in range(k + 1, n):
-            dk = logQ[:, k] - logQ[:, l]
-            best = max(best, float(dk.max() - dk.min()))
-    return best
+    diff = logQ[:, :, None] - logQ[:, None, :]  # diff[i, k, l] = logQ_ik - logQ_il
+    return float(np.ptp(diff, axis=0).max())
 
 
 def contraction_factor(gk: GibbsKernel) -> float:

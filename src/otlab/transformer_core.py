@@ -230,7 +230,8 @@ def _probe_check(weights: LayerWeights) -> None:
 
 def divergence_guard(C: np.ndarray, lam: float) -> Callable[[int, HiddenState], None]:
     """An observer for `forward` that raises DivergenceError at the first bad
-    layer of a pass over the instance with cost matrix C.
+    layer of a pass over the instance with cost matrix C. Its messages start
+    with "n=<n>: ", the instance size read from C.
 
     A layer is bad once a dual reaches the feedforward's reset guard (from
     there the layer no longer performs a descent step), or once its plan is
@@ -240,16 +241,17 @@ def divergence_guard(C: np.ndarray, lam: float) -> Callable[[int, HiddenState], 
     only for the layers it does not clear. For a stacked pass, C stacks the
     instances' cost matrices alike and the guard holds them all.
     """
-    log_cap = _log_kernel_cap(C.shape[-1])
+    n = C.shape[-1]
+    log_cap = _log_kernel_cap(n)
     c_min = C.min()
 
     def check(ell: int, state: HiddenState) -> None:
         u, v = read_dual(state)
         u_max, v_max = u.max(), v.max()
         if not max(u_max, v_max, -u.min(), -v.min()) < _RESET_GUARD:  # also catches NaN duals
-            raise DivergenceError(f"duals reach the reset guard {_RESET_GUARD:.0e} at layer {ell}")
+            raise DivergenceError(f"n={n}: duals reach the reset guard {_RESET_GUARD:.0e} at layer {ell}")
         if (u_max + v_max - c_min) / lam - 1.0 > log_cap and not log_kernel(C, u, v, lam).max() <= log_cap:
-            raise DivergenceError(f"attention kernel exceeds {np.exp(log_cap):.0e} at layer {ell}")
+            raise DivergenceError(f"n={n}: attention kernel exceeds {np.exp(log_cap):.0e} at layer {ell}")
 
     return check
 

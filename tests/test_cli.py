@@ -15,6 +15,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ def test_diverged_forward_stops_at_its_first_bad_layer(monkeypatch, capsys):
     monkeypatch.setattr(tc, "layer_forward", counted)
     assert main(["forward", "--gamma", "1e6", "--depth", "2000"]) == 3
     assert len(calls) <= 3
-    assert capsys.readouterr().err == "n=4: attention kernel exceeds 3e+153 at layer 2; the run diverged\n"
+    assert capsys.readouterr().err == "otlab: n=4: attention kernel exceeds 3e+153 at layer 2; the run diverged\n"
 
 
 def test_forward_multi_n_prefixes_files(tmp_path):
@@ -237,7 +238,7 @@ def test_diverged_run_exits_3_with_one_line(argv, tmp_path, capsys):
         warnings.simplefilter("always")
         assert main([*argv, "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "diverged" in err
+    assert len(err.splitlines()) == 1 and err.startswith("otlab: ") and "diverged" in err
     assert not caught
     assert not out.exists()  # nothing exported from the diverged run, not even its directory
 
@@ -246,7 +247,35 @@ def test_sort_zero_row_plan_exits_3(capsys):
     # at lam = 1e-6 every kernel entry of a point off the grid i/n underflows
     assert main(["sort", "--x", "0.1,0.9", "--lambda", "1e-6", "--depth", "0"]) == 3
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "zero row" in err
+    assert len(err.splitlines()) == 1 and err.startswith("otlab: ") and "zero row" in err
+
+
+@pytest.mark.parametrize(
+    "module, name, exc, argv, code, line",
+    [
+        # `gd --n 100000 --depth 0` ended in a traceback from the cost matrix's allocation
+        (cli, "cost_matrix", MemoryError("Unable to allocate 74.5 GiB"), ["gd", "--n", "100000", "--depth", "0"],
+         1, "otlab: Unable to allocate 74.5 GiB\n"),
+        # the real budget (`forward --d 2 --n 8`) runs 100,000 sweeps in about 3 s
+        (cli.sl, "sinkhorn_solve", cli.sl.SinkhornError("no convergence", eps_star=1.6e-6), ["forward", "--depth", "5"],
+         3, "otlab: no convergence; the run did not converge\n"),
+    ],
+    ids=["allocation", "reference-solve"],
+)
+def test_failure_inside_a_command_is_one_line(module, name, exc, argv, code, line, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(module, name, mock.Mock(side_effect=exc))
+    assert main([*argv, "--out", str(tmp_path / "run")]) == code
+    assert capsys.readouterr().err == line
+    assert not (tmp_path / "run").exists()
+
+
+def test_process_entry_point_reports_one_line():
+    src = str(Path(otlab.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "otlab.cli", "gd", "--gamma", "1e9", "--depth", "50"],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 3
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("otlab: ")
+    assert "Traceback" not in run.stderr
 
 
 @settings(max_examples=300, deadline=None)
@@ -346,8 +375,10 @@ def test_sinkhorn_budget_exhaustion_exits_3(tmp_path, capsys):
     code = main(["sinkhorn", "--n", "4", "--d", "2", "--lambda", "0.005",
                  "--tol", "1e-12", "--max-sweeps", "40", "--out", str(tmp_path / "s")])
     assert code == 3
-    assert "did not converge" in capsys.readouterr().err
-    assert not (tmp_path / "s" / "Pstar.csv").exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("otlab: no convergence to 1e-12 within 40 sweeps")
+    assert err.endswith("; the run did not converge\n")
+    assert not (tmp_path / "s").exists()
 
 
 def test_sinkhorn_artifacts(tmp_path):

@@ -160,3 +160,16 @@ def test_round_plan_rejects_non_bijection():
     P = np.array([[0.4, 0.1], [0.4, 0.1]])
     with pytest.raises(DegeneratePlanError):
         round_plan(P)
+
+
+@pytest.mark.parametrize(
+    "P, reason",
+    [
+        (np.zeros((0, 0)), "non-empty"),  # returned ()
+        (np.full((2, 2), np.nan), "finite"),  # raised DegeneratePlanError "row 0 has 0 tied maxima"
+    ],
+)
+def test_round_plan_rejects_empty_or_non_finite_plan(P, reason):
+    with pytest.raises(ValueError, match=reason) as info:
+        round_plan(P)
+    assert not isinstance(info.value, DegeneratePlanError)

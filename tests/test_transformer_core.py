@@ -139,16 +139,16 @@ def test_divergence_guard_names_the_first_bad_layer():
     # lam = 1e-6: head 1's kernel overflows at layer 2 (and again at 7, 12, ...)
     inst = permutation_instance(4, 0, 1e-6)
     w = build_constructed_weights(1, 1e-6, 0.01)
-    with pytest.raises(DivergenceError, match="^attention kernel exceeds 3e\\+153 at layer 2$"):
+    with pytest.raises(DivergenceError, match="^n=4: attention kernel exceeds 3e\\+153 at layer 2$"):
         forward(inst, 50, w, observe=divergence_guard(cost_matrix(inst), 1e-6))
     # a stacked pass is guarded with its stacked costs
     other = permutation_instance(4, 1, 1e-6)
-    with pytest.raises(DivergenceError, match="^attention kernel exceeds 3e\\+153 at layer 2$"):
+    with pytest.raises(DivergenceError, match="^n=4: attention kernel exceeds 3e\\+153 at layer 2$"):
         forward([other, inst], 50, w, observe=divergence_guard(np.stack([cost_matrix(other), cost_matrix(inst)]), 1e-6))
     # duals pass the feedforward's reset guard at layer 5
     inst = permutation_instance(4, 0, 1e9)
     w = build_constructed_weights(1, 1e9, 5e7)
-    with pytest.raises(DivergenceError, match="^duals reach the reset guard 1e\\+08 at layer 5$"):
+    with pytest.raises(DivergenceError, match="^n=4: duals reach the reset guard 1e\\+08 at layer 5$"):
         forward(inst, 200, w, observe=divergence_guard(cost_matrix(inst), 1e9))
 
 
