@@ -132,14 +132,14 @@ def _instance(n: int, d: int, seed: int, lam: float) -> ProblemInstance:
     return uniform_instance(np.random.default_rng(seed), n, d, lam)
 
 
-def _record(args: argparse.Namespace, name: str, body: dict, t0: float) -> None:
+def _record(args: argparse.Namespace, name: str, body: dict) -> None:
     """Write body to args.out/name, stamped with the command, its parsed
-    flags, the otlab version and the wall time since t0."""
+    flags, the otlab version and the wall time since `main` parsed them."""
     config = {k: str(v) if isinstance(v, Path) else v for k, v in vars(args).items()
-              if k not in ("command", "config", "func")}
+              if k not in ("command", "config", "func", "t0")}
     args.out.mkdir(parents=True, exist_ok=True)
     stamp = {"command": args.command, "config": config, "version": __version__,
-             "wall_time_s": round(time.perf_counter() - t0, 3)}
+             "wall_time_s": round(time.perf_counter() - args.t0, 3)}
     otio.write_json_atomic({**body, **stamp}, args.out / name)
 
 
@@ -152,7 +152,6 @@ def _export(matrix: np.ndarray, out: Path, stem: str) -> list[str]:
 
 
 def _cmd_forward(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
     ns = list(dict.fromkeys(args.n))  # each size once, in first-seen order
     if not ns:
         raise ValueError("forward needs at least one n")
@@ -176,7 +175,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
         prefix = "" if len(ns) == 1 else f"n{n}_"
         per_layer = {}
         for k in marks:
-            pattern = attention_pattern(trace.state(k), weights.heads[0], "raw_kernel")
+            pattern = attention_pattern(trace.state(k), weights.heads[0])
             per_layer[str(k)] = {
                 "eps_star": marginal_error(pattern),
                 "frobenius_to_fixed_point": float(np.linalg.norm(pattern - ref.plan)),
@@ -194,12 +193,11 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     if out:
         save_weights(weights, out / "weights.json")
         outputs.append("weights.json")
-        _record(args, "manifest.json", {"metrics": metrics, "outputs": sorted(outputs)}, t0)
+        _record(args, "manifest.json", {"metrics": metrics, "outputs": sorted(outputs)})
     return EXIT_OK
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
     if not args.x:
         raise ValueError("sort needs at least one value: --x v1,v2,...")
     x, lam, depth = np.array(args.x), getattr(args, "lambda"), args.depth
@@ -208,7 +206,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     trace = forward(inst, depth, weights, observe=divergence_guard(cost_matrix(inst), lam))
     # head 2's kernel block is the transposed plan, whose barycentric image of
     # x lands each rank at its sorted position
-    plan_t = attention_pattern(trace.states[-1], weights.heads[1], "raw_kernel")
+    plan_t = attention_pattern(trace.states[-1], weights.heads[1])
     estimate = apply_plan(plan_t, x)
     target = sort_oracle(x)
     err = float(np.abs(estimate - target).max())
@@ -219,17 +217,15 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     if args.out:
         metrics = {"input": x.tolist(), "estimate": estimate.tolist(), "target": target.tolist(),
                    "max_abs_error": err}
-        _record(args, "manifest.json", {"metrics": metrics, "outputs": []}, t0)
+        _record(args, "manifest.json", {"metrics": metrics, "outputs": []})
     return EXIT_OK
 
 
 def _cmd_gd(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
     n, lam, depth = args.n, getattr(args, "lambda"), args.depth
     gamma = args.gamma if args.radius is None else dd.radius_stepsize(n, args.radius, lam)
     inst = _instance(n, args.d, args.seed, lam)
-    with np.errstate(over="raise"):  # an overflow ends the run as FloatingPointError
-        traj = dd.gd_run(cost_matrix(inst), lam, depth, gamma)
+    traj = dd.gd_run(cost_matrix(inst), lam, depth, gamma)
     final = float(traj.marginal_errors[-1])
     print(
         f"n={n} depth={depth} gamma={gamma:.6g}: final marginal error {final:.3e}, "
@@ -239,12 +235,11 @@ def _cmd_gd(args: argparse.Namespace) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         dd.trajectory_to_csv(traj, args.out / "trajectory.csv")
         metrics = {"final_marginal_error": final, "realized_radius": traj.radius, "gamma": gamma}
-        _record(args, "manifest.json", {"metrics": metrics, "outputs": ["trajectory.csv"]}, t0)
+        _record(args, "manifest.json", {"metrics": metrics, "outputs": ["trajectory.csv"]})
     return EXIT_OK
 
 
 def _cmd_sinkhorn(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
     lam = getattr(args, "lambda")
     inst = _instance(args.n, args.d, args.seed, lam)
     res = sl.sinkhorn_solve(sl.gibbs_kernel(cost_matrix(inst), lam), tol=args.tol, max_sweeps=args.max_sweeps)
@@ -252,19 +247,18 @@ def _cmd_sinkhorn(args: argparse.Namespace) -> int:
     if args.out:
         outputs = _export(res.plan, args.out, "Pstar")
         metrics = {"sweeps": res.sweeps, "eps_star": res.eps_star}
-        _record(args, "manifest.json", {"metrics": metrics, "outputs": outputs}, t0)
+        _record(args, "manifest.json", {"metrics": metrics, "outputs": outputs})
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
     results = checks.run_all(seed=args.seed, quick=args.quick, flip_sign=args.flip_sign)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
     passed = all(r.passed for r in results)
     if args.out:
         rows = [dataclasses.asdict(r) for r in results]
-        _record(args, "report.json", {"passed": passed, "results": rows}, t0)
+        _record(args, "report.json", {"passed": passed, "results": rows})
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -301,10 +295,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         args = _parse(parser, commands, argv)
+        args.t0 = time.perf_counter()  # the run's clock, read by _record
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (DivergenceError, FloatingPointError) as exc:
+    except DivergenceError as exc:
         print(f"otlab: {exc}; the run diverged", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (sl.SinkhornError, DegeneratePlanRowError) as exc:  # before ValueError: a zero row is one

@@ -24,6 +24,11 @@ import numpy as np
 from .logdomain import log_kernel, lse
 
 
+class DivergenceError(ArithmeticError):
+    """A run left the regime where its steps are descent steps, or a
+    quantity read from it is too large to measure."""
+
+
 @dataclasses.dataclass(frozen=True)
 class DualIterate:
     """Duals u, v of shape (..., n): leading axes stack instances."""
@@ -121,7 +126,8 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 def gd_run(C: np.ndarray, lam: float, depth: int, gamma: float) -> Trajectory:
     """Run `depth` steps of stepsize `gamma` from zero duals, recording
-    per-step diagnostics.
+    per-step diagnostics. A step whose diagnostics are not finite raises
+    DivergenceError naming n and the first such step.
 
     The loop makes one kernel pass per iterate and keeps its log sums; the
     diagnostics are computed from them once, after the loop.
@@ -133,23 +139,28 @@ def gd_run(C: np.ndarray, lam: float, depth: int, gamma: float) -> Trajectory:
     n = C.shape[0]
     duals = np.zeros((depth + 1, 2, n))
     log_sums = np.empty((depth + 1, 2, n))
-    for k in range(depth + 1):
-        log_sums[k] = _log_sums(C, duals[k, 0], duals[k, 1], lam)
-        if k < depth:
-            duals[k + 1] = duals[k] - gamma * _step_ratio(log_sums[k], n)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is reported below
+        for k in range(depth + 1):
+            log_sums[k] = _log_sums(C, duals[k, 0], duals[k, 1], lam)
+            if k < depth:
+                duals[k + 1] = duals[k] - gamma * _step_ratio(log_sums[k], n)
 
-    objectives = _objective(log_sums[:, 0], duals[:, 0], duals[:, 1], lam)
-    # the log sums are spent: their buffer holds the sums, then the gradients
-    grads = np.exp(log_sums, out=log_sums)
-    grads -= 1.0 / n
-    grad_u_norms, grad_v_norms = _norms(grads[:, 0]), _norms(grads[:, 1])
+        objectives = _objective(log_sums[:, 0], duals[:, 0], duals[:, 1], lam)
+        # the log sums are spent: their buffer holds the sums, then the gradients
+        grads = np.exp(log_sums, out=log_sums)
+        grads -= 1.0 / n
+        grad_u_norms, grad_v_norms = _norms(grads[:, 0]), _norms(grads[:, 1])
+        dual_norms = _norms(duals.reshape(depth + 1, 2 * n))
+    finite = np.isfinite([objectives, grad_u_norms, grad_v_norms, dual_norms]).all(axis=0)
+    if not finite.all():
+        raise DivergenceError(f"n={n}: descent diagnostics are not finite at step {int(finite.argmin())}")
     return Trajectory(
         duals=duals,
         grad_u_norms=grad_u_norms,
         grad_v_norms=grad_v_norms,
         objectives=objectives,
         marginal_errors=np.abs(grads, out=grads).max(axis=(1, 2)),
-        radius=float(_norms(duals.reshape(depth + 1, 2 * n)).max()),
+        radius=float(dual_norms.max()),
     )
 
 

@@ -38,7 +38,7 @@ def brute_force_ot(C: np.ndarray) -> PermutationPlan:
         raise ValueError(f"refusing to enumerate {n}! permutations (n > {MAX_BRUTE_FORCE_N})")
     rows = np.arange(n)
     tail = min(n, _BLOCK_TAIL)
-    tails = _lexicographic_permutations(tail)
+    tails = np.array(list(itertools.permutations(range(tail))), dtype=np.intp)
     best: tuple[int, ...] | None = None
     best_cost = np.inf
     # prefixes and each block's rows both run in lexicographic order, so the
@@ -55,19 +55,6 @@ def brute_force_ot(C: np.ndarray) -> PermutationPlan:
     if best is None:
         raise ValueError("no permutation has a finite cost")
     return PermutationPlan(perm=best, cost=float(best_cost) / n)
-
-
-def _lexicographic_permutations(m: int) -> np.ndarray:
-    """Every permutation of range(m), one per row, in lexicographic order."""
-    perms = np.zeros((1, 0), dtype=np.intp)
-    for k in range(1, m + 1):
-        # first entry f, then the permutations of range(k - 1) relabelled onto
-        # range(k) without f; the relabelling is monotone, so order is kept
-        first = np.repeat(np.arange(k), len(perms))
-        rest = np.tile(perms, (k, 1))
-        rest += rest >= first[:, None]
-        perms = np.column_stack([first, rest])
-    return perms
 
 
 def sort_oracle(x) -> np.ndarray:

@@ -39,6 +39,7 @@ from collections.abc import Callable, Iterable, Sequence
 import numpy as np
 
 from . import dual_descent as dd
+from .dual_descent import DivergenceError
 from .logdomain import log_kernel
 from .problem import ProblemInstance, cost_matrix, uniform_instance
 from .prompt import HiddenState, PromptLayout, build_prompt, read_dual, with_duals
@@ -48,11 +49,6 @@ _RESET_GUARD = 1e8
 
 class DegeneratePlanRowError(ValueError):
     pass
-
-
-class DivergenceError(ArithmeticError):
-    """The pass left the regime where a layer is a descent step, or a plan
-    read from a state is too large to measure."""
 
 
 def _log_kernel_cap(n: int) -> float:
@@ -100,21 +96,19 @@ def attention(Z: np.ndarray, Qs: np.ndarray, Wvs: np.ndarray) -> np.ndarray:
     return _softmax_rows((Z @ Qs) @ Z.mT) @ (Z @ Wvs)
 
 
-def attention_pattern(state: HiddenState, head: AttentionHead, variant: str = "softmax") -> np.ndarray:
-    """Either the full (n+1)^2 row-softmax or the raw n x n kernel block
-    exp(logits), which on a constructed head equals M at the current duals.
-    A kernel entry above sqrt(largest float)/n raises DivergenceError, the
-    bound `divergence_guard` holds every layer's kernel to."""
-    logits = state.Z @ head.Q @ state.Z.mT
-    if variant == "softmax":
-        return _softmax_rows(logits)
-    if variant == "raw_kernel":
-        block = logits[..., : state.n, : state.n]
-        log_cap = _log_kernel_cap(state.n)
-        if not block.max() <= log_cap:  # also catches NaN logits
-            raise DivergenceError(f"attention kernel exceeds {np.exp(log_cap):.0e}")
-        return np.exp(block)
-    raise ValueError(f"unknown pattern variant {variant!r}")
+def attention_pattern(state: HiddenState, head: AttentionHead, variant: str = "raw_kernel") -> np.ndarray:
+    """The raw n x n kernel block exp(logits), which on a constructed head
+    equals M at the current duals. A kernel entry above sqrt(largest
+    float)/n raises DivergenceError, the bound `divergence_guard` holds every
+    layer's kernel to. The layer's own row softmax is `attention`."""
+    # bench/ still passes variant="raw_kernel"; the next benchmark change drops it
+    if variant != "raw_kernel":
+        raise ValueError(f"unknown pattern variant {variant!r}")
+    block = (state.Z @ head.Q @ state.Z.mT)[..., : state.n, : state.n]
+    log_cap = _log_kernel_cap(state.n)
+    if not block.max() <= log_cap:  # also catches NaN logits
+        raise DivergenceError(f"attention kernel exceeds {np.exp(log_cap):.0e}")
+    return np.exp(block)
 
 
 def layer_forward(state: HiddenState, weights: LayerWeights) -> HiddenState:
@@ -261,12 +255,11 @@ class ForwardTrace:
     """The hidden states a forward pass kept: states[i] holds the duals after
     exactly layers[i] descent steps, in increasing layer order, and
     states[-1] is always the final layer. A layer's plan is read from its
-    state with `attention_pattern(trace.state(ell), head, variant)`.
+    state with `attention_pattern(trace.state(ell), head)`.
     """
 
     states: list[HiddenState]
     layers: list[int]
-    weights: LayerWeights
     # No patterns are kept. bench/ still reads these two names and passes
     # forward's pattern flag as False; the next benchmark change drops both.
     softmax_patterns = None
@@ -319,7 +312,7 @@ def forward(
         if ell in keep:
             states.append(state)
             layers.append(ell)
-    return ForwardTrace(states=states, layers=layers, weights=weights)
+    return ForwardTrace(states=states, layers=layers)
 
 
 def apply_plan(pattern: np.ndarray, x: np.ndarray) -> np.ndarray:

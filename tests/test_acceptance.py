@@ -43,14 +43,14 @@ def trace4(shared_weights):
     return forward(permutation_instance(4, 0, LAM), DEPTH, shared_weights, checkpoints=CHECKPOINTS)
 
 
-def _kernel(trace, ell):
+def _kernel(trace, weights, ell):
     # head 1's kernel block at layer ell: the plan the forward pass holds there
-    return attention_pattern(trace.state(ell), trace.weights.heads[0], "raw_kernel")
+    return attention_pattern(trace.state(ell), weights.heads[0])
 
 
 @pytest.fixture(scope="module")
 def final_kernel8(shared_weights):
-    return _kernel(forward(permutation_instance(8, 0, LAM), DEPTH, weights=shared_weights), DEPTH)
+    return _kernel(forward(permutation_instance(8, 0, LAM), DEPTH, weights=shared_weights), shared_weights, DEPTH)
 
 
 def test_c01_layerwise_equivalence(criterion):
@@ -64,7 +64,7 @@ def test_c01_layerwise_equivalence(criterion):
 
 def _sorted_estimate(values, weights):
     trace = forward(sorting_instance(values, LAM), DEPTH, weights=weights)
-    pattern = attention_pattern(trace.states[-1], weights.heads[1], "raw_kernel")
+    pattern = attention_pattern(trace.states[-1], weights.heads[1])
     return apply_plan(pattern, np.asarray(values, dtype=float))
 
 
@@ -86,12 +86,12 @@ def test_c02_sorting_demos(criterion, shared_weights):
                      f"<= 0.05; runtime {dt:.1f}s (< 30s)")
 
 
-def test_c03_checkpoint_convergence(criterion, trace4):
+def test_c03_checkpoint_convergence(criterion, shared_weights, trace4):
     inst = permutation_instance(4, 0, LAM)
     ref = sl.sinkhorn_solve(sl.gibbs_kernel(cost_matrix(inst), LAM), tol=1e-8)
     errs, frobs = [], []
     for k in CHECKPOINTS:
-        pattern = _kernel(trace4, k)
+        pattern = _kernel(trace4, shared_weights, k)
         errs.append(marginal_error(pattern))
         frobs.append(float(np.linalg.norm(pattern - ref.plan)))
     # the run reaches the float64 fixed point before checkpoint 300, so the
@@ -109,8 +109,8 @@ def test_c03_checkpoint_convergence(criterion, trace4):
                      f"{[f'{f:.2e}' for f in frobs]} non-increasing; final {errs[-1]:.2e} <= 1.25e-02")
 
 
-def test_c04_weight_reuse_across_sizes(criterion, trace4, final_kernel8):
-    eps4 = marginal_error(_kernel(trace4, DEPTH))
+def test_c04_weight_reuse_across_sizes(criterion, shared_weights, trace4, final_kernel8):
+    eps4 = marginal_error(_kernel(trace4, shared_weights, DEPTH))
     eps8 = marginal_error(final_kernel8)
     ok = eps4 <= 0.05 / 4 and eps8 <= 0.05 / 8
     assert criterion(4, "weight reuse n=4 and n=8", ok,
@@ -181,10 +181,10 @@ def test_c11_gradient_correctness(criterion):
     assert criterion(11, "gradient correctness", res.passed, res.detail)
 
 
-def test_c12_rank_non_collapse(criterion, trace4, final_kernel8):
+def test_c12_rank_non_collapse(criterion, shared_weights, trace4, final_kernel8):
     details = []
     ok = True
-    for label, pattern in (("n=4", _kernel(trace4, DEPTH)), ("n=8", final_kernel8)):
+    for label, pattern in (("n=4", _kernel(trace4, shared_weights, DEPTH)), ("n=8", final_kernel8)):
         sv = np.linalg.svd(pattern, compute_uv=False)
         ratio = float(sv[-1] / sv[0])
         ok &= ratio > 1e-6

@@ -4,6 +4,7 @@ number of `verify` suites, would fail every benchmark operation. These tests
 run a few of its operations so that Tier-1 notices first."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 
 from otlab import cli
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +55,25 @@ def test_forward_deep_properties_solve_its_instance(workloads, tmp_path):
     # the report rebuilds the instance through the private cli._instance
     props = workloads.ForwardDeep(0, tmp_path).properties()
     assert props["n"] == 128 and props["reference_sweeps"] > 0
+
+
+def test_trace_mode_reads_every_per_layer_metric(workloads, tmp_path):
+    # `bench/run.py --trace 1` reads trace and result attributes by name
+    tracer = importlib.import_module("tracer").Tracer()
+    wl = workloads.SortBatch(0, tmp_path)
+    wl.setup()
+    tracer.install()
+    try:
+        tracer.op_id, tracer.active = 0, True
+        wl.op(wl.input(0))
+        tracer.op_id = 1
+        rc, _ = workloads._cli(["verify", "--quick"])
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert rc == cli.EXIT_OK
+    metrics = tracer.metrics(2, 0.0)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted(metrics) == sorted(m["name"] for m in declared)
+    assert metrics["sinkhorn_lab.sinkhorn_solve.sweeps"] > 0
+    assert metrics["dual_descent.gd_run.steps"] > 0

@@ -7,12 +7,14 @@ with zero duals the n = 1 objective is e^{-1}.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otlab
 from otlab import dual_descent as dd
 from otlab import sinkhorn_lab as sl
 from otlab.logdomain import log_kernel, lse, marginal_error
@@ -172,6 +174,18 @@ def test_gd_run_takes_one_kernel_pass_per_step(monkeypatch):
     for k in range(1, depth + 1):
         it = dd.gd_step(C, it, 0.5, 0.1)
         np.testing.assert_array_equal(traj.duals[k], [it.u, it.v])
+
+
+def test_gd_run_names_its_first_non_finite_step():
+    """At gamma = 1e9 the duals stay finite but the objective overflows at
+    step 2: the run raises there instead of returning inf diagnostics, and
+    leaks no float warning."""
+    C = cost_matrix(permutation_instance(4, 0, 0.005))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dd.DivergenceError, match="^n=4: descent diagnostics are not finite at step 2$"):
+            dd.gd_run(C, 0.005, 50, 1e9)
+    assert otlab.DivergenceError is otlab.transformer_core.DivergenceError is dd.DivergenceError
 
 
 def test_smoothness_bound_frozen_value():

@@ -159,7 +159,7 @@ def test_raw_kernel_beyond_the_bound_raises_divergence_error():
     w = build_constructed_weights(1, 1e-6, 0.01)
     state = forward(inst, 50, w, checkpoints=[2]).state(2)
     with pytest.raises(DivergenceError, match="^attention kernel exceeds 3e\\+153$"):
-        attention_pattern(state, w.heads[0], "raw_kernel")
+        attention_pattern(state, w.heads[0])
 
 
 def test_aux_row_scratch_is_bit_exact_zero():
@@ -243,12 +243,12 @@ def test_stacked_pass_is_each_single_pass_and_stacked_descent(n, d, batch, log_l
     insts = [ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam) for _ in range(batch)]
     layers = range(depth + 1)
     stacked = forward(insts, depth, w, checkpoints=layers)
-    plans = attention_pattern(stacked.states[-1], w.heads[0], "raw_kernel")
+    plans = attention_pattern(stacked.states[-1], w.heads[0])
     for b, inst in enumerate(insts):
         single = forward(inst, depth, w, checkpoints=layers)
         for ell in layers:
             np.testing.assert_array_equal(stacked.state(ell).Z[b], single.state(ell).Z)
-        np.testing.assert_array_equal(plans[b], attention_pattern(single.states[-1], w.heads[0], "raw_kernel"))
+        np.testing.assert_array_equal(plans[b], attention_pattern(single.states[-1], w.heads[0]))
     C = np.stack([cost_matrix(inst) for inst in insts])
     it = dd.zero_iterate((batch, n))
     for ell in range(1, depth + 1):
@@ -297,38 +297,40 @@ def test_layer_makes_one_attention_call(monkeypatch):
 
 def test_raw_kernel_pattern_is_dual_kernel():
     inst = permutation_instance(5, 2, 0.3)
-    trace = forward(inst, 12, build_constructed_weights(inst.d, inst.lam, 0.08), checkpoints=range(13))
+    w = build_constructed_weights(inst.d, inst.lam, 0.08)
+    trace = forward(inst, 12, w, checkpoints=range(13))
     C = cost_matrix(inst)
     for ell in (0, 5, 12):
         u, v = trace.duals(ell)
         M = np.exp(log_kernel(C, u, v, 0.3))
-        K1, K2 = (attention_pattern(trace.states[ell], h, "raw_kernel") for h in trace.weights.heads)
+        K1, K2 = (attention_pattern(trace.states[ell], h) for h in w.heads)
         np.testing.assert_allclose(K1, M, rtol=1e-10, atol=1e-13)
         np.testing.assert_allclose(K2, M.T, rtol=1e-10, atol=1e-13)
 
 
-def test_softmax_pattern_rows_are_distributions():
+def test_layer_softmax_row_is_the_kernel_over_its_sum_plus_one():
+    """Head 1's row softmax over all n + 1 tokens is [M_i1 .. M_in, 1] /
+    (sum_j M_ij + 1) on a data row: the kernel block plus the auxiliary
+    token's 1, which supplies the adaptive stepsize's denominator."""
     inst = permutation_instance(4, 1, 0.5)
-    trace = forward(inst, 4, build_constructed_weights(inst.d, inst.lam, 0.1), checkpoints=range(5))
-    A = attention_pattern(trace.states[2], trace.weights.heads[0], "softmax")
-    assert A.shape == (5, 5)  # softmax runs over all n+1 tokens
-    assert np.all(A > 0)
+    w = build_constructed_weights(inst.d, inst.lam, 0.1)
+    state = forward(inst, 4, w, checkpoints=[2]).state(2)
+    A = tc._softmax_rows(state.Z @ w.Qs[0] @ state.Z.T)
     np.testing.assert_allclose(A.sum(axis=1), 1.0, rtol=1e-12)
-    # ... so the n x n block of a data row sums to s/(s+1) < 1
-    assert np.all(A[:4, :4].sum(axis=1) < 1.0)
+    M = attention_pattern(state, w.heads[0])
+    np.testing.assert_allclose(A[:4], np.column_stack([M, np.ones(4)]) / (M.sum(axis=1, keepdims=True) + 1.0),
+                               rtol=1e-12)
 
 
-def test_attention_pattern_variants_disagree():
-    inst = permutation_instance(3, 0, 0.5)
-    state = build_prompt(inst)
+def test_attention_pattern_has_one_readout():
+    state = build_prompt(permutation_instance(3, 0, 0.5))
     w = build_constructed_weights(1, 0.5, 0.1)
-    raw = attention_pattern(state, w.heads[0], "raw_kernel")
-    soft = attention_pattern(state, w.heads[0], "softmax")
+    raw = attention_pattern(state, w.heads[0])
     assert raw.shape == (3, 3)
-    assert soft.shape == (4, 4)
-    assert np.abs(raw - soft[:3, :3]).max() > 1e-6
-    with pytest.raises(ValueError):
-        attention_pattern(state, w.heads[0], "nonsense")
+    np.testing.assert_array_equal(attention_pattern(state, w.heads[0], "raw_kernel"), raw)
+    for variant in ("softmax", "nonsense"):
+        with pytest.raises(ValueError, match="unknown pattern variant"):
+            attention_pattern(state, w.heads[0], variant)
 
 
 def test_forward_requires_weights():
@@ -336,7 +338,13 @@ def test_forward_requires_weights():
     with pytest.raises(TypeError):
         forward(inst, 5)
     w = build_constructed_weights(1, 0.7, 0.1)
-    assert forward(inst, 5, weights=w).weights is w
+    assert forward(inst, 5, weights=w).layers == [5]
+
+
+def test_forward_keeps_states_only():
+    w = build_constructed_weights(1, 0.5, 0.1)
+    with pytest.raises(ValueError, match="keeps states only"):
+        forward(permutation_instance(3, 0, 0.5), 2, weights=w, record_patterns=True)
 
 
 def test_forward_rejects_mismatched_weights():
