@@ -175,7 +175,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
         prefix = "" if len(ns) == 1 else f"n{n}_"
         per_layer = {}
         for k in marks:
-            pattern = attention_pattern(trace.state(k), weights.heads[0])
+            pattern = attention_pattern(trace.state(k), weights.Qs[0])
             per_layer[str(k)] = {
                 "eps_star": marginal_error(pattern),
                 "frobenius_to_fixed_point": float(np.linalg.norm(pattern - ref.plan)),
@@ -206,7 +206,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     trace = forward(inst, depth, weights, observe=divergence_guard(cost_matrix(inst), lam))
     # head 2's kernel block is the transposed plan, whose barycentric image of
     # x lands each rank at its sorted position
-    plan_t = attention_pattern(trace.states[-1], weights.heads[1])
+    plan_t = attention_pattern(trace.states[-1], weights.Qs[1])
     estimate = apply_plan(plan_t, x)
     target = sort_oracle(x)
     err = float(np.abs(estimate - target).max())

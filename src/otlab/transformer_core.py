@@ -58,12 +58,6 @@ def _log_kernel_cap(n: int) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class AttentionHead:
-    Q: np.ndarray  # bilinear logit map, (width, width)
-    Wv: np.ndarray  # value map, (width, width)
-
-
-@dataclasses.dataclass(frozen=True)
 class LayerWeights:
     # the two heads stacked on a leading axis, (2, width, width): the only copy
     Qs: np.ndarray
@@ -75,9 +69,9 @@ class LayerWeights:
     gamma: float
 
     @property
-    def heads(self) -> tuple[AttentionHead, AttentionHead]:
-        """Head h as views Qs[h], Wvs[h] of the stacks, not copies."""
-        return tuple(AttentionHead(Q=Q, Wv=Wv) for Q, Wv in zip(self.Qs, self.Wvs))
+    def heads(self) -> np.ndarray:
+        # bench/workloads.py:86 still reads this name; the next benchmark change drops it
+        return self.Qs
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -96,15 +90,15 @@ def attention(Z: np.ndarray, Qs: np.ndarray, Wvs: np.ndarray) -> np.ndarray:
     return _softmax_rows((Z @ Qs) @ Z.mT) @ (Z @ Wvs)
 
 
-def attention_pattern(state: HiddenState, head: AttentionHead, variant: str = "raw_kernel") -> np.ndarray:
-    """The raw n x n kernel block exp(logits), which on a constructed head
-    equals M at the current duals. A kernel entry above sqrt(largest
-    float)/n raises DivergenceError, the bound `divergence_guard` holds every
-    layer's kernel to. The layer's own row softmax is `attention`."""
+def attention_pattern(state: HiddenState, Q: np.ndarray, variant: str = "raw_kernel") -> np.ndarray:
+    """The raw n x n kernel block exp(Z Q Z^T) of a logit map Q: M at the
+    current duals for a constructed Qs[0], M^T for Qs[1]. A kernel entry above
+    sqrt(largest float)/n raises DivergenceError, the bound `divergence_guard`
+    holds every layer's kernel to. The layer's own row softmax is `attention`."""
     # bench/ still passes variant="raw_kernel"; the next benchmark change drops it
     if variant != "raw_kernel":
         raise ValueError(f"unknown pattern variant {variant!r}")
-    block = (state.Z @ head.Q @ state.Z.mT)[..., : state.n, : state.n]
+    block = (state.Z @ Q @ state.Z.mT)[..., : state.n, : state.n]
     log_cap = _log_kernel_cap(state.n)
     if not block.max() <= log_cap:  # also catches NaN logits
         raise DivergenceError(f"attention kernel exceeds {np.exp(log_cap):.0e}")
@@ -153,7 +147,8 @@ def build_constructed_weights(d: int, lam: float, gamma: float) -> LayerWeights:
     G[one_b, lay.v] = 1.0  # + v_j
     G[one_c, one_c] = -lam  # constant -lam => the -1 in the exponent
     # marker row/column stay zero so the auxiliary token scores 0 both ways
-    Qs = np.stack([G / lam, G.T / lam])
+    with np.errstate(over="ignore"):  # a tiny lam overflows to inf, rejected below
+        Qs = np.stack([G / lam, G.T / lam])
 
     # value maps read the marker column into the dual scratch: data tokens
     # contribute -1, the auxiliary token +1/n — the negated gradient pieces
@@ -188,14 +183,14 @@ def _probe_check(weights: LayerWeights) -> None:
     rng = np.random.default_rng(1234)
     n, d, lam = 3, weights.d, weights.lam
     inst = uniform_instance(rng, n, d, lam)
-    sigma = min(0.05, 10.0 * lam)  # keep probe kernel exponents overflow-free at tiny lam
+    sigma = 10.0 * min(lam, 0.005)  # keep probe kernel exponents overflow-free at tiny lam
     u, v = rng.normal(0, sigma, n), rng.normal(0, sigma, n)
     state = with_duals(build_prompt(inst), u, v)
     C = cost_matrix(inst)
     lay = state.layout
 
     logits = (state.Z @ weights.Qs) @ state.Z.T
-    want = (-C + u[:, None] + v[None, :]) / lam - 1.0
+    want = log_kernel(C, u, v, lam)
     scale = max(1.0, np.abs(want).max())
     if np.abs(logits[0, :n, :n] - want).max() > 1e-9 * scale:
         raise ValueError("constructed logits do not match the kernel exponents")
@@ -255,7 +250,7 @@ class ForwardTrace:
     """The hidden states a forward pass kept: states[i] holds the duals after
     exactly layers[i] descent steps, in increasing layer order, and
     states[-1] is always the final layer. A layer's plan is read from its
-    state with `attention_pattern(trace.state(ell), head)`.
+    state with `attention_pattern(trace.state(ell), weights.Qs[h])`.
     """
 
     states: list[HiddenState]

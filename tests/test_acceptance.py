@@ -45,7 +45,7 @@ def trace4(shared_weights):
 
 def _kernel(trace, weights, ell):
     # head 1's kernel block at layer ell: the plan the forward pass holds there
-    return attention_pattern(trace.state(ell), weights.heads[0])
+    return attention_pattern(trace.state(ell), weights.Qs[0])
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def test_c01_layerwise_equivalence(criterion):
 
 def _sorted_estimate(values, weights):
     trace = forward(sorting_instance(values, LAM), DEPTH, weights=weights)
-    pattern = attention_pattern(trace.states[-1], weights.heads[1])
+    pattern = attention_pattern(trace.states[-1], weights.Qs[1])
     return apply_plan(pattern, np.asarray(values, dtype=float))
 
 

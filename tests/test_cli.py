@@ -64,7 +64,7 @@ def test_forward_writes_expected_artifacts(tmp_path, capsys):
     for k in (1, 30, 60):
         A = read_matrix_csv(out / f"A_{k:04d}.csv")
         assert A.shape == (4, 4)
-        np.testing.assert_array_equal(A, tc.attention_pattern(trace.states[k], w.heads[0]))
+        np.testing.assert_array_equal(A, tc.attention_pattern(trace.states[k], w.Qs[0]))
 
 
 def test_forward_computes_only_the_exported_patterns(monkeypatch):
@@ -191,6 +191,9 @@ def test_sort_requires_x(capsys):
         # negative values in exponent or list form were taken for a flag: "expected one argument"
         ["gd", "--gamma", "-1e-3"],
         ["sort", "--x", "-0.5,1"],
+        # G / lam overflowed with a RuntimeWarning before the weights were rejected
+        ["forward", "--lambda", "1e-309", "--depth", "3"],
+        ["sort", "--x", "0.2,0.8", "--lambda", "1e-309"],
     ],
 )
 def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
@@ -203,7 +206,8 @@ def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
     named = {("gd", "--d", "0"): "--d", ("sinkhorn", "--d", "0"): "--d", ("verify", "--seed", "-1"): "--seed",
              ("sort", "--x", ","): "sort needs at least one value",
              ("gd", "--gamma", "-1e-3"): "gamma must be positive and finite",
-             ("sort", "--x", "-0.5,1"): "values to sort must lie in [0, 1]"}
+             ("sort", "--x", "-0.5,1"): "values to sort must lie in [0, 1]",
+             ("forward", "--lambda", "1e-309", "--depth", "3"): "constructed weights are not finite"}
     assert named.get(tuple(argv), "") in err
 
 
@@ -233,6 +237,29 @@ def test_diverged_run_exits_3_with_one_line(argv, tmp_path, capsys):
     assert named.get(tuple(argv), "") in err
     assert not caught
     assert not out.exists()  # nothing exported from the diverged run, not even its directory
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        # the gauge's mean over the duals overflowed to inf, also in forward's reference solve
+        (["sinkhorn", "--lambda", "1e308"], 0, ""),
+        (["forward", "--lambda", "1e308", "--depth", "3"], 0, ""),
+        # -C/lam overflows to -inf, a kernel entry of exactly 0
+        (["sinkhorn", "--lambda", "1e-309"], 0, ""),
+        (["sinkhorn", "--d", "2", "--lambda", "1e-300", "--max-sweeps", "50"], 3,
+         "otlab: no convergence to 1e-08 within 50 sweeps"),  # expm1 overflowed
+        (["sinkhorn", "--d", "2", "--lambda", "1e-309"], 3,
+         "otlab: marginal error is nan at sweep 1; the run did not converge"),  # spent 100,000 sweeps on NaN
+    ],
+)
+def test_float_limit_run_raises_no_warning(argv, code, line, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    assert not caught
+    assert len(err.splitlines()) == (code == 3) and err.startswith(line)
 
 
 def test_sort_zero_row_plan_exits_3(capsys):

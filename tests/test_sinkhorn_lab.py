@@ -11,6 +11,7 @@ Hand-computed anchors:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,20 @@ def test_sinkhorn_solve_reaches_fixed_point():
     # the returned duals are descent's: their kernel is the plan, balanced gauge
     np.testing.assert_allclose(np.exp(log_kernel(C, res.u, res.v, 0.5)), res.plan, rtol=1e-10)
     assert res.u.mean() == pytest.approx(res.v.mean(), abs=1e-12)
+
+
+def test_balanced_gauge_is_finite_at_the_top_of_the_float_range():
+    # at lam = 1e308 every dual is -8.86e307, so a mean over the duals
+    # themselves would overflow; the gauge is balanced in log units instead
+    lam = 1e308
+    C = cost_matrix(permutation_instance(4, 0, lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = sl.sinkhorn_solve(sl.gibbs_kernel(C, lam))
+    assert np.isfinite(res.u).all() and np.isfinite(res.v).all()
+    assert (res.u / lam).mean() == pytest.approx((res.v / lam).mean(), abs=1e-15)
+    np.testing.assert_allclose(res.plan, 1 / 16, rtol=1e-15)  # lam -> inf: the uniform plan
+    np.testing.assert_allclose(np.exp(log_kernel(C, res.u, res.v, lam)), res.plan, rtol=1e-15)
 
 
 def test_sinkhorn_default_tolerance():
@@ -424,9 +439,9 @@ def test_closure_bound_is_tight_enough_to_be_nontrivial():
 
 
 def test_scaling_convergence_bound_preconditions():
-    with pytest.raises(sl.BoundNotApplicableError):
+    with pytest.raises(ValueError, match="^depth 10 below the bound's precondition 1.03e\\+04$"):
         sl.scaling_convergence_bound(2, 1.0, 1.0, eta=0.5, depth=10)  # too shallow
-    with pytest.raises(sl.BoundNotApplicableError):
+    with pytest.raises(ValueError, match="^contraction factor must be in \\[0, 1\\), got 1.0$"):
         sl.scaling_convergence_bound(2, 0.1, 1.0, eta=1.0, depth=10**9)  # no contraction
     n, r, lam, eta = 2, 0.25, 1.0, 0.2
     depth = int(64 * n**3 * math.exp(3 * r / lam) * r) + 1
@@ -440,7 +455,7 @@ def test_scaling_bound_depth_is_the_bounds_precondition():
     needed = sl.scaling_bound_depth(n, r, lam)
     assert needed == pytest.approx(64 * n**3 * math.exp(3 * r / lam) * r, rel=1e-15)
     sl.scaling_convergence_bound(n, r, lam, 0.5, math.ceil(needed))
-    with pytest.raises(sl.BoundNotApplicableError):
+    with pytest.raises(ValueError, match="below the bound's precondition"):
         sl.scaling_convergence_bound(n, r, lam, 0.5, math.ceil(needed) - 1)
     # a radius whose exponential overflows asks for infinite depth, not an OverflowError
     with np.errstate(over="ignore"):

@@ -9,6 +9,7 @@ dual columns must track the descent oracle to float64 resolution.
 
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -48,11 +49,9 @@ def _oracle_duals(inst, depth, gamma):
 def test_weight_shapes_and_structure():
     w = build_constructed_weights(2, 0.5, 0.1)
     width = 13
-    assert len(w.heads) == 2
-    for h in w.heads:
-        assert h.Q.shape == (width, width)
-        assert h.Wv.shape == (width, width)
-    np.testing.assert_array_equal(w.heads[1].Q, w.heads[0].Q.T)
+    # head h is Qs[h], Wvs[h], Bs[h]
+    assert w.Qs.shape == w.Wvs.shape == w.Bs.shape == (2, width, width)
+    np.testing.assert_array_equal(w.Qs[1], w.Qs[0].T)
     for B in w.Bs:
         np.testing.assert_array_equal(B, 0.1 * np.eye(width))
     assert w.Wf.shape == (width, width)
@@ -63,6 +62,14 @@ def test_build_rejects_bad_parameters():
     for d, lam, gamma in ((0, 1.0, 0.1), (1, 0.0, 0.1), (1, 1.0, 0.0), (1, 1.0, -0.2)):
         with pytest.raises(ValueError):
             build_constructed_weights(d, lam, gamma)
+
+
+def test_build_at_the_float_limits_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_constructed_weights(1, np.float64(1e308), 0.01)  # the probe's 10 lam overflowed
+        with pytest.raises(ValueError, match="^constructed weights are not finite"):
+            build_constructed_weights(1, 1e-309, 0.01)  # G / lam overflowed
 
 
 def test_single_layer_is_one_descent_step():
@@ -159,7 +166,7 @@ def test_raw_kernel_beyond_the_bound_raises_divergence_error():
     w = build_constructed_weights(1, 1e-6, 0.01)
     state = forward(inst, 50, w, checkpoints=[2]).state(2)
     with pytest.raises(DivergenceError, match="^attention kernel exceeds 3e\\+153$"):
-        attention_pattern(state, w.heads[0])
+        attention_pattern(state, w.Qs[0])
 
 
 def test_aux_row_scratch_is_bit_exact_zero():
@@ -196,10 +203,10 @@ def _two_head_loop(state, w):
     """One layer run head by head, each with its own row softmax."""
     Z = state.Z
     mid = Z.copy()
-    for head, B in zip(w.heads, w.Bs):
-        logits = Z @ head.Q @ Z.T
+    for Q, Wv, B in zip(w.Qs, w.Wvs, w.Bs):
+        logits = Z @ Q @ Z.T
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        mid = mid + (e / e.sum(axis=1, keepdims=True)) @ (Z @ head.Wv) @ B
+        mid = mid + (e / e.sum(axis=1, keepdims=True)) @ (Z @ Wv) @ B
     return mid + np.maximum(mid @ w.Wf, 0.0)
 
 
@@ -243,12 +250,12 @@ def test_stacked_pass_is_each_single_pass_and_stacked_descent(n, d, batch, log_l
     insts = [ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam) for _ in range(batch)]
     layers = range(depth + 1)
     stacked = forward(insts, depth, w, checkpoints=layers)
-    plans = attention_pattern(stacked.states[-1], w.heads[0])
+    plans = attention_pattern(stacked.states[-1], w.Qs[0])
     for b, inst in enumerate(insts):
         single = forward(inst, depth, w, checkpoints=layers)
         for ell in layers:
             np.testing.assert_array_equal(stacked.state(ell).Z[b], single.state(ell).Z)
-        np.testing.assert_array_equal(plans[b], attention_pattern(single.states[-1], w.heads[0]))
+        np.testing.assert_array_equal(plans[b], attention_pattern(single.states[-1], w.Qs[0]))
     C = np.stack([cost_matrix(inst) for inst in insts])
     it = dd.zero_iterate((batch, n))
     for ell in range(1, depth + 1):
@@ -303,7 +310,7 @@ def test_raw_kernel_pattern_is_dual_kernel():
     for ell in (0, 5, 12):
         u, v = trace.duals(ell)
         M = np.exp(log_kernel(C, u, v, 0.3))
-        K1, K2 = (attention_pattern(trace.states[ell], h) for h in w.heads)
+        K1, K2 = (attention_pattern(trace.states[ell], h) for h in w.Qs)
         np.testing.assert_allclose(K1, M, rtol=1e-10, atol=1e-13)
         np.testing.assert_allclose(K2, M.T, rtol=1e-10, atol=1e-13)
 
@@ -317,7 +324,7 @@ def test_layer_softmax_row_is_the_kernel_over_its_sum_plus_one():
     state = forward(inst, 4, w, checkpoints=[2]).state(2)
     A = tc._softmax_rows(state.Z @ w.Qs[0] @ state.Z.T)
     np.testing.assert_allclose(A.sum(axis=1), 1.0, rtol=1e-12)
-    M = attention_pattern(state, w.heads[0])
+    M = attention_pattern(state, w.Qs[0])
     np.testing.assert_allclose(A[:4], np.column_stack([M, np.ones(4)]) / (M.sum(axis=1, keepdims=True) + 1.0),
                                rtol=1e-12)
 
@@ -325,12 +332,12 @@ def test_layer_softmax_row_is_the_kernel_over_its_sum_plus_one():
 def test_attention_pattern_has_one_readout():
     state = build_prompt(permutation_instance(3, 0, 0.5))
     w = build_constructed_weights(1, 0.5, 0.1)
-    raw = attention_pattern(state, w.heads[0])
+    raw = attention_pattern(state, w.Qs[0])
     assert raw.shape == (3, 3)
-    np.testing.assert_array_equal(attention_pattern(state, w.heads[0], "raw_kernel"), raw)
+    np.testing.assert_array_equal(attention_pattern(state, w.Qs[0], "raw_kernel"), raw)
     for variant in ("softmax", "nonsense"):
         with pytest.raises(ValueError, match="unknown pattern variant"):
-            attention_pattern(state, w.heads[0], variant)
+            attention_pattern(state, w.Qs[0], variant)
 
 
 def test_forward_requires_weights():
@@ -385,9 +392,8 @@ def test_weights_json_round_trip(tmp_path):
         save_weights(weights, path)
         back = load_weights(path)
         assert (back.d, back.lam, back.gamma) == (w.d, w.lam, w.gamma)
-        for ha, hb in zip(weights.heads, back.heads):
-            np.testing.assert_array_equal(ha.Q, hb.Q)
-            np.testing.assert_array_equal(ha.Wv, hb.Wv)
+        np.testing.assert_array_equal(weights.Qs, back.Qs)
+        np.testing.assert_array_equal(weights.Wvs, back.Wvs)
         np.testing.assert_array_equal(weights.Bs, back.Bs)
         np.testing.assert_array_equal(weights.Wf, back.Wf)
         # loaded weights drive an identical forward pass, and run the saved heads
@@ -408,10 +414,10 @@ def test_weights_json_bytes_are_pinned(tmp_path):
 
 def test_heads_are_views_of_the_stacks():
     w = build_constructed_weights(2, 0.5, 0.1)
-    for h, head in enumerate(w.heads):
-        assert np.shares_memory(head.Q, w.Qs[h]) and np.shares_memory(head.Wv, w.Wvs[h])
-        np.testing.assert_array_equal(head.Q, w.Qs[h])
-        np.testing.assert_array_equal(head.Wv, w.Wvs[h])
+    for h, Q in enumerate(w.heads):
+        assert np.shares_memory(Q, w.Qs[h])
+        np.testing.assert_array_equal(Q, w.Qs[h])
+    # the stacks are the only stored copy of the heads
     assert [f.name for f in dataclasses.fields(w)] == ["Qs", "Wvs", "Bs", "Wf", "d", "lam", "gamma"]
 
 
