@@ -13,7 +13,8 @@ import numpy as np
 from . import dual_descent as dd
 from . import sinkhorn_lab as sl
 from .oracles import finite_diff_grad
-from .problem import ProblemInstance, cost_matrix, permutation_instance, sorting_instance, uniform_instance
+from .problem import (ProblemInstance, cost_matrix, permutation_instance, seeded_instance, sorting_instance,
+                      uniform_instance)
 from .prompt import read_dual
 from .transformer_core import LayerWeights, build_constructed_weights, forward
 
@@ -31,12 +32,6 @@ def _flip_first_value_sign(weights: LayerWeights) -> LayerWeights:
     Wvs = weights.Wvs.copy()
     Wvs[0] = -Wvs[0]
     return dataclasses.replace(weights, Wvs=Wvs)
-
-
-def _random_instance(rng: np.random.Generator, n: int, d: int, lam: float) -> ProblemInstance:
-    if d == 1:
-        return permutation_instance(n, int(rng.integers(0, 2**32)), lam)
-    return uniform_instance(rng, n, d, lam)
 
 
 def _forward_deviation(insts: list[ProblemInstance], depth: int, weights: LayerWeights) -> float:
@@ -72,10 +67,8 @@ def check_gd_equivalence(n_seeds: int = 5, flip_sign: bool = False) -> CheckResu
             if flip_sign:
                 weights = _flip_first_value_sign(weights)
             for n in (2, 4, 8):
-                insts = [
-                    _random_instance(np.random.default_rng((seed, n, d, int(lam * 1000))), n, d, lam)
-                    for seed in range(n_seeds)
-                ]
+                draws = [np.random.default_rng((seed, n, d, int(lam * 1000))) for seed in range(n_seeds)]
+                insts = [seeded_instance(n, d, int(rng.integers(0, 2**32)), lam) for rng in draws]
                 worst = max(worst, _forward_deviation(insts, depth, weights))
                 cases += len(insts)
     return CheckResult(

@@ -127,7 +127,8 @@ def _norms(a: np.ndarray) -> np.ndarray:
 def gd_run(C: np.ndarray, lam: float, depth: int, gamma: float) -> Trajectory:
     """Run `depth` steps of stepsize `gamma` from zero duals, recording
     per-step diagnostics. A step whose diagnostics are not finite raises
-    DivergenceError naming n and the first such step.
+    DivergenceError naming n and the first such step; at zero duals, before
+    any step, they depend on (C, lam) alone, and ValueError is raised.
 
     The loop makes one kernel pass per iterate and keeps its log sums; the
     diagnostics are computed from them once, after the loop.
@@ -152,6 +153,8 @@ def gd_run(C: np.ndarray, lam: float, depth: int, gamma: float) -> Trajectory:
         grad_u_norms, grad_v_norms = _norms(grads[:, 0]), _norms(grads[:, 1])
         dual_norms = _norms(duals.reshape(depth + 1, 2 * n))
     finite = np.isfinite([objectives, grad_u_norms, grad_v_norms, dual_norms]).all(axis=0)
+    if not finite[0]:  # zero duals: no step was taken, so (C, lam) itself is out of range
+        raise ValueError(f"n={n}: descent diagnostics are not finite at zero duals for lambda {lam:g}")
     if not finite.all():
         raise DivergenceError(f"n={n}: descent diagnostics are not finite at step {int(finite.argmin())}")
     return Trajectory(

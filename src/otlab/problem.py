@@ -103,6 +103,14 @@ def permutation_instance(n: int, seed: int, lam: float = 0.005) -> ProblemInstan
     return ProblemInstance(x=grid[perm], y=grid.copy(), lam=lam)
 
 
+def seeded_instance(n: int, d: int, seed: int, lam: float) -> ProblemInstance:
+    """The instance a seed names: `permutation_instance` for d = 1, and
+    `uniform_instance` drawn by default_rng(seed) otherwise."""
+    if d == 1:
+        return permutation_instance(n, seed, lam)
+    return uniform_instance(np.random.default_rng(seed), n, d, lam)
+
+
 def sorting_instance(values, lam: float = 0.005) -> ProblemInstance:
     """Instance whose sources are the given 1-D values and targets the grid i/n.
 

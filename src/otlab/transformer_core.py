@@ -42,7 +42,7 @@ from . import dual_descent as dd
 from .dual_descent import DivergenceError
 from .logdomain import log_kernel
 from .problem import ProblemInstance, cost_matrix, uniform_instance
-from .prompt import HiddenState, PromptLayout, build_prompt, read_dual, with_duals
+from .prompt import MARKER, ONE_A, ONE_B, ONE_C, U, V, XSQ, YSQ, HiddenState, build_prompt, read_dual, width, with_duals
 
 _RESET_GUARD = 1e8
 
@@ -116,7 +116,7 @@ def layer_forward(state: HiddenState, weights: LayerWeights) -> HiddenState:
     out = mid @ weights.Wf
     np.maximum(out, 0.0, out=out)
     out += mid
-    return HiddenState(Z=out, n=state.n, d=state.d)
+    return HiddenState(Z=out)
 
 
 def build_constructed_weights(d: int, lam: float, gamma: float) -> LayerWeights:
@@ -132,20 +132,18 @@ def build_constructed_weights(d: int, lam: float, gamma: float) -> LayerWeights:
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError("gamma must be positive and finite")
 
-    lay = PromptLayout(d)
-    w = lay.width
-    one_a, one_b, one_c = lay.ones
+    w = width(d)
 
     # bilinear form G with z_i G z_j = -||x_i - y_j||^2 + u_i + v_j - lam,
-    # assembled against the prompt layout; head logits are G/lam
+    # assembled against the prompt's columns; head logits are G/lam
     G = np.zeros((w, w))
     for k in range(d):
         G[k, d + k] = 2.0  # 2 <x_i, y_j>
-    G[lay.xsq, one_a] = -1.0  # -||x_i||^2
-    G[one_a, lay.ysq] = -1.0  # -||y_j||^2
-    G[lay.u, one_b] = 1.0  # + u_i
-    G[one_b, lay.v] = 1.0  # + v_j
-    G[one_c, one_c] = -lam  # constant -lam => the -1 in the exponent
+    G[XSQ, ONE_A] = -1.0  # -||x_i||^2
+    G[ONE_A, YSQ] = -1.0  # -||y_j||^2
+    G[U, ONE_B] = 1.0  # + u_i
+    G[ONE_B, V] = 1.0  # + v_j
+    G[ONE_C, ONE_C] = -lam  # constant -lam => the -1 in the exponent
     # marker row/column stay zero so the auxiliary token scores 0 both ways
     with np.errstate(over="ignore"):  # a tiny lam overflows to inf, rejected below
         Qs = np.stack([G / lam, G.T / lam])
@@ -153,17 +151,17 @@ def build_constructed_weights(d: int, lam: float, gamma: float) -> LayerWeights:
     # value maps read the marker column into the dual scratch: data tokens
     # contribute -1, the auxiliary token +1/n — the negated gradient pieces
     Wvs = np.zeros((2, w, w))
-    Wvs[0, lay.marker, lay.u] = -1.0
-    Wvs[1, lay.marker, lay.v] = -1.0
+    Wvs[0, MARKER, U] = -1.0
+    Wvs[1, MARKER, V] = -1.0
 
     Bs = np.stack([gamma * np.eye(w)] * 2)
 
     # feedforward clears the auxiliary row's dual residue (see module docstring)
     Wf = np.zeros((w, w))
-    Wf[lay.u, lay.u] = -1.0
-    Wf[one_c, lay.u] = -_RESET_GUARD
-    Wf[lay.v, lay.v] = -1.0
-    Wf[one_c, lay.v] = -_RESET_GUARD
+    Wf[U, U] = -1.0
+    Wf[ONE_C, U] = -_RESET_GUARD
+    Wf[V, V] = -1.0
+    Wf[ONE_C, V] = -_RESET_GUARD
 
     for m in (Qs, Wvs, Bs, Wf):
         if not np.isfinite(m).all():
@@ -187,7 +185,6 @@ def _probe_check(weights: LayerWeights) -> None:
     u, v = rng.normal(0, sigma, n), rng.normal(0, sigma, n)
     state = with_duals(build_prompt(inst), u, v)
     C = cost_matrix(inst)
-    lay = state.layout
 
     logits = (state.Z @ weights.Qs) @ state.Z.T
     want = log_kernel(C, u, v, lam)
@@ -201,7 +198,7 @@ def _probe_check(weights: LayerWeights) -> None:
 
     values = state.Z @ weights.Wvs[0]
     expect = np.zeros_like(values)
-    expect[:, lay.u] = -state.Z[:, lay.marker]
+    expect[:, U] = -state.Z[:, MARKER]
     if not np.array_equal(values, expect):
         raise ValueError("head-1 value map does not read the marker column")
 
@@ -213,7 +210,7 @@ def _probe_check(weights: LayerWeights) -> None:
         and np.allclose(got_v, ref.v, rtol=1e-9, atol=1e-12)
     ):
         raise ValueError("one layer does not match one descent step")
-    if stepped.Z[n, lay.u] != 0.0 or stepped.Z[n, lay.v] != 0.0:
+    if stepped.Z[n, U] != 0.0 or stepped.Z[n, V] != 0.0:
         raise ValueError("auxiliary dual scratch was not cleared")
 
 

@@ -194,6 +194,8 @@ def test_sort_requires_x(capsys):
         # G / lam overflowed with a RuntimeWarning before the weights were rejected
         ["forward", "--lambda", "1e-309", "--depth", "3"],
         ["sort", "--x", "0.2,0.8", "--lambda", "1e-309"],
+        # the objective overflows at zero duals: exited 3 "diverged at step 0"
+        ["gd", "--lambda", "1e308", "--depth", "3"],
     ],
 )
 def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
@@ -207,7 +209,8 @@ def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
              ("sort", "--x", ","): "sort needs at least one value",
              ("gd", "--gamma", "-1e-3"): "gamma must be positive and finite",
              ("sort", "--x", "-0.5,1"): "values to sort must lie in [0, 1]",
-             ("forward", "--lambda", "1e-309", "--depth", "3"): "constructed weights are not finite"}
+             ("forward", "--lambda", "1e-309", "--depth", "3"): "constructed weights are not finite",
+             ("gd", "--lambda", "1e308", "--depth", "3"): "n=4: descent diagnostics are not finite at zero duals"}
     assert named.get(tuple(argv), "") in err
 
 

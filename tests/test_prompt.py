@@ -2,31 +2,41 @@
 scratch space, and the auxiliary row that supplies the +1 in every softmax
 denominator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from otlab.problem import ProblemInstance, permutation_instance
-from otlab.prompt import PromptLayout, build_prompt, read_dual, with_duals
+from otlab.prompt import (MARKER, ONE_A, ONE_B, ONE_C, SPARE, U, V, XSQ, YSQ, HiddenState, build_prompt, read_dual,
+                          width, with_duals)
+
+NAMED = [XSQ, YSQ, ONE_A, ONE_B, ONE_C, MARKER, U, V, SPARE]
 
 
 def test_layout_d1():
-    lay = PromptLayout(d=1)
-    assert lay.width == 11
-    assert list(range(*lay.x.indices(lay.width))) == [0]
-    assert list(range(*lay.y.indices(lay.width))) == [1]
-    assert (lay.xsq, lay.ysq) == (2, 3)
-    assert lay.ones == (4, 5, 6)
-    assert (lay.marker, lay.u, lay.v, lay.spare) == (7, 8, 9, 10)
+    # x, y fill the first 2d columns; the nine named ones follow
+    assert width(1) == 11
+    cols = np.arange(width(1))
+    assert list(cols[NAMED]) == [2, 3, 4, 5, 6, 7, 8, 9, 10]
 
 
 def test_layout_d2():
-    lay = PromptLayout(d=2)
-    assert lay.width == 13
-    assert list(range(*lay.x.indices(lay.width))) == [0, 1]
-    assert list(range(*lay.y.indices(lay.width))) == [2, 3]
-    assert (lay.xsq, lay.ysq) == (4, 5)
-    assert lay.ones == (6, 7, 8)
-    assert (lay.marker, lay.u, lay.v, lay.spare) == (9, 10, 11, 12)
+    assert width(2) == 13
+    cols = np.arange(width(2))
+    assert list(cols[NAMED]) == [4, 5, 6, 7, 8, 9, 10, 11, 12]
+
+
+def test_state_reads_n_and_d_from_its_matrix():
+    assert [f.name for f in dataclasses.fields(HiddenState)] == ["Z"]
+    one = HiddenState(Z=np.zeros((5, 13)))
+    assert (one.n, one.d) == (4, 2)
+    stacked = HiddenState(Z=np.zeros((3, 2, 7, 11)))
+    assert (stacked.n, stacked.d) == (6, 1)
+    # 1-D, one row (n = 0), even width, odd width below 11 (d = 0)
+    for shape in ((11,), (1, 11), (5, 12), (5, 9)):
+        with pytest.raises(ValueError, match=r"is not \(\.\.\., n\+1, 2d\+9\) with n, d >= 1"):
+            HiddenState(Z=np.zeros(shape))
 
 
 def test_build_prompt_single_point_exact():
@@ -44,13 +54,12 @@ def test_build_prompt_single_point_exact():
 def test_build_prompt_rows_and_marker():
     inst = permutation_instance(5, 2)
     state = build_prompt(inst)
-    lay = state.layout
     assert state.Z.shape == (6, 11)
-    np.testing.assert_array_equal(state.Z[:5, lay.marker], 1.0)
-    assert state.Z[5, lay.marker] == -1.0 / 5.0
+    np.testing.assert_array_equal(state.Z[:5, MARKER], 1.0)
+    assert state.Z[5, MARKER] == -1.0 / 5.0
     # aux row is zero outside the marker column
     aux = state.Z[5].copy()
-    aux[lay.marker] = 0.0
+    aux[MARKER] = 0.0
     np.testing.assert_array_equal(aux, 0.0)
 
 
@@ -58,11 +67,10 @@ def test_build_prompt_squared_norms_d2():
     rng = np.random.default_rng(1)
     inst = ProblemInstance(x=rng.uniform(size=(4, 2)), y=rng.uniform(size=(4, 2)), lam=0.3)
     state = build_prompt(inst)
-    lay = state.layout
-    np.testing.assert_allclose(state.Z[:4, lay.xsq], (inst.x**2).sum(axis=1), rtol=1e-15)
-    np.testing.assert_allclose(state.Z[:4, lay.ysq], (inst.y**2).sum(axis=1), rtol=1e-15)
-    np.testing.assert_array_equal(state.Z[:4, lay.x], inst.x)
-    np.testing.assert_array_equal(state.Z[:4, lay.y], inst.y)
+    np.testing.assert_allclose(state.Z[:4, XSQ], (inst.x**2).sum(axis=1), rtol=1e-15)
+    np.testing.assert_allclose(state.Z[:4, YSQ], (inst.y**2).sum(axis=1), rtol=1e-15)
+    np.testing.assert_array_equal(state.Z[:4, :2], inst.x)
+    np.testing.assert_array_equal(state.Z[:4, 2:4], inst.y)
 
 
 def test_dual_scratch_starts_zero_and_round_trips():

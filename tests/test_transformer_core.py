@@ -21,7 +21,7 @@ from otlab import transformer_core as tc
 from otlab.checks import _flip_first_value_sign
 from otlab.logdomain import log_kernel
 from otlab.problem import ProblemInstance, cost_matrix, permutation_instance
-from otlab.prompt import build_prompt
+from otlab.prompt import MARKER, ONE_A, ONE_B, ONE_C, SPARE, U, V, XSQ, YSQ, build_prompt
 from otlab.transformer_core import (
     DegeneratePlanRowError,
     DivergenceError,
@@ -77,10 +77,9 @@ def test_single_layer_is_one_descent_step():
     inst = ProblemInstance(x=rng.uniform(0, 1, (5, 2)), y=rng.uniform(0, 1, (5, 2)), lam=0.3)
     w = build_constructed_weights(2, 0.3, 0.05)
     state = layer_forward(build_prompt(inst), w)
-    lay = state.layout
     expected = _oracle_duals(inst, 1, 0.05)[1]
-    np.testing.assert_allclose(state.Z[:5, lay.u], expected.u, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(state.Z[:5, lay.v], expected.v, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(state.Z[:5, U], expected.u, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(state.Z[:5, V], expected.v, rtol=1e-12, atol=1e-14)
 
 
 def test_forward_tracks_oracle_at_every_prefix():
@@ -172,19 +171,16 @@ def test_raw_kernel_beyond_the_bound_raises_divergence_error():
 def test_aux_row_scratch_is_bit_exact_zero():
     inst = permutation_instance(6, 1, 0.05)
     trace = forward(inst, 40, build_constructed_weights(inst.d, inst.lam, 0.02), checkpoints=range(41))
-    lay = trace.states[0].layout
     for state in trace.states:
-        assert state.Z[6, lay.u] == 0.0
-        assert state.Z[6, lay.v] == 0.0
+        assert state.Z[6, U] == 0.0
+        assert state.Z[6, V] == 0.0
 
 
 def test_static_prompt_columns_never_move():
     inst = permutation_instance(3, 5, 0.5)
     trace = forward(inst, 30, build_constructed_weights(inst.d, inst.lam, 0.1), checkpoints=range(31))
     first, last = trace.states[0].Z, trace.states[-1].Z
-    lay = trace.states[0].layout
-    static = [lay.xsq, lay.ysq, lay.marker, lay.spare, *lay.ones]
-    static += list(range(*lay.x.indices(lay.width))) + list(range(*lay.y.indices(lay.width)))
+    static = [0, 1, XSQ, YSQ, ONE_A, ONE_B, ONE_C, MARKER, SPARE]  # d = 1: x, y, and all but the dual scratch
     np.testing.assert_array_equal(last[:, static], first[:, static])
 
 
