@@ -19,7 +19,7 @@ def write_matrix_csv(A: np.ndarray, path) -> None:
         fh.write("rows,cols\n")
         fh.write(f"{A.shape[0]},{A.shape[1]}\n")
         for row in A:
-            fh.write(",".join(repr(x) for x in row.tolist()) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -48,7 +48,7 @@ def write_pgm(A: np.ndarray, path) -> None:
         fh.write(f"# linear scale min={lo!r} max={hi!r}\n")
         fh.write(f"{A.shape[1]} {A.shape[0]}\n255\n")
         for row in pix:
-            fh.write(" ".join(str(p) for p in row.tolist()) + "\n")
+            fh.write(" ".join(map(str, row.tolist())) + "\n")
 
 
 def _numpy_scalar(x):

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .logdomain import lse, marginal_error, square_matrices
+from .logdomain import marginal_error, square_matrices
 
 
 class SinkhornError(RuntimeError):
@@ -138,16 +138,21 @@ class SinkhornResult:
     sweeps: int
 
 
-def _f_update(logQ: np.ndarray, logw: np.ndarray) -> np.ndarray:
-    # q <- 1/(n Q^T w)
-    n = logQ.shape[0]
-    return -(np.log(n) + lse(logQ + logw[:, None], axis=0))
+# logx[_ALONG[axis]] spreads a scaling along `axis` of an n x n matrix
+_ALONG = ((slice(None), None), (None, slice(None)))
 
 
-def _g_update(logQ: np.ndarray, logq: np.ndarray) -> np.ndarray:
-    # w <- 1/(n Q q)
-    n = logQ.shape[0]
-    return -(np.log(n) + lse(logQ + logq[None, :], axis=1))
+def _update(logQ: np.ndarray, logx: np.ndarray, axis: int, buf: np.ndarray) -> np.ndarray:
+    """-log(n sum_axis(Q_ij x)), for x the scaling along `axis`: axis 0 gives
+    q <- 1/(n Q^T w), axis 1 gives w <- 1/(n Q q). The shifted logs live in
+    the n x n scratch `buf`; the result is a fresh array, bit for bit
+    -(log n + lse(logQ + logx, axis))."""
+    np.add(logQ, logx[_ALONG[axis]], out=buf)
+    m = np.maximum.reduce(buf, axis=axis)
+    np.subtract(buf, m[_ALONG[1 - axis]], out=buf)
+    m += np.log(np.add.reduce(np.exp(buf, out=buf), axis=axis))
+    m += np.log(logQ.shape[0])
+    return np.negative(m, out=m)
 
 
 def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 100_000, observe=None) -> SinkhornResult:
@@ -181,13 +186,14 @@ def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 
     logw = np.zeros(n)
     if observe is not None:
         observe(0, logw, np.zeros(n))
+    buf = np.empty_like(gk.logQ)
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN sweep error is reported below
-        logq = _f_update(gk.logQ, logw)
+        logq = _update(gk.logQ, logw, 0, buf)
         for sweep in range(1, max_sweeps + 1):
-            logw = _g_update(gk.logQ, logq)
+            logw = _update(gk.logQ, logq, 1, buf)
             if observe is not None:
                 observe(sweep, logw, logq)
-            next_logq = _f_update(gk.logQ, logw)
+            next_logq = _update(gk.logQ, logw, 0, buf)
             eps = float(np.abs(np.expm1(logq - next_logq)).max()) / n
             if math.isnan(eps):
                 raise SinkhornError(f"marginal error is nan at sweep {sweep}", eps_star=eps)

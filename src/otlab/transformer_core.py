@@ -5,6 +5,11 @@ A layer is two attention heads plus a ReLU feedforward:
     Zmid = Z + sum_h softmax_rows(Z Q_h Z^T) (Z W_h) B_h
     Znew = Zmid + relu(Zmid Wf)
 
+The layer computes head h as E_h (Z W_h B_h) / rowsum(E_h), with
+E_h = exp(Z Q_h Z^T - rowmax): the softmax is normalized after the value
+product (see `attention`), and W_h B_h is folded once per weight set
+(`LayerWeights.WvBs`).
+
 `build_constructed_weights` fills these matrices so that on a prompt encoding
 a transport instance the layer performs exactly one preconditioned descent
 step on the dual variables stored in the state:
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import json
 from collections.abc import Callable, Iterable, Sequence
 
@@ -73,28 +79,38 @@ class LayerWeights:
         # bench/workloads.py:86 still reads this name; the next benchmark change drops it
         return self.Qs
 
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, computed in place in `logits`."""
-    logits -= logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
+    @functools.cached_property
+    def WvBs(self) -> np.ndarray:
+        """Each head's value map followed by its output map, Wv_h B_h: derived
+        on first use and never saved. Replacing a stack (`dataclasses.replace`,
+        `load_weights`) makes a new set that derives its own; writing into a
+        stack in place would leave this product stale."""
+        return self.Wvs @ self.Bs
 
 
 def attention(Z: np.ndarray, Qs: np.ndarray, Wvs: np.ndarray) -> np.ndarray:
     """softmax_rows(Z Q_h Z^T) (Z Wv_h) for every head h of the stacks, as one
     (..., heads, n+1, width) array for a (..., n+1, width) state; each token
-    attends over all tokens of its own instance, self included."""
+    attends over all tokens of its own instance, self included.
+
+    The rows are normalized after the value product (Rabe & Staats,
+    arXiv:2112.05682): E = exp(L - rowmax L) multiplies the values, and the
+    (n+1) x width product is divided by E's row sums, not E itself."""
     Z = Z[..., None, :, :]  # the head axis
-    return _softmax_rows((Z @ Qs) @ Z.mT) @ (Z @ Wvs)
+    E = (Z @ Qs) @ np.ascontiguousarray(Z.mT)  # matmul is slower on the broadcast, transposed Z.mT
+    E -= E.max(axis=-1, keepdims=True)
+    np.exp(E, out=E)
+    out = E @ (Z @ Wvs)
+    out /= E.sum(axis=-1, keepdims=True)
+    return out
 
 
 def attention_pattern(state: HiddenState, Q: np.ndarray, variant: str = "raw_kernel") -> np.ndarray:
     """The raw n x n kernel block exp(Z Q Z^T) of a logit map Q: M at the
     current duals for a constructed Qs[0], M^T for Qs[1]. A kernel entry above
     sqrt(largest float)/n raises DivergenceError, the bound `divergence_guard`
-    holds every layer's kernel to. The layer's own row softmax is `attention`."""
+    holds every layer's kernel to. The layer's own attention, normalized after
+    its value product, is `attention`."""
     # bench/ still passes variant="raw_kernel"; the next benchmark change drops it
     if variant != "raw_kernel":
         raise ValueError(f"unknown pattern variant {variant!r}")
@@ -107,10 +123,11 @@ def attention_pattern(state: HiddenState, Q: np.ndarray, variant: str = "raw_ker
 
 def layer_forward(state: HiddenState, weights: LayerWeights) -> HiddenState:
     """Apply one layer to a state, or to a stack of states at once; both heads
-    read the incoming state and are summed in the order Z + head 1 + head 2,
-    bit-identical to a head-by-head loop on each instance alone."""
+    read the incoming state, with each output map folded into its value map,
+    and are summed in the order Z + head 1 + head 2, bit-identical to a
+    head-by-head loop on each instance alone."""
     Z = state.Z
-    heads = attention(Z, weights.Qs, weights.Wvs) @ weights.Bs
+    heads = attention(Z, weights.Qs, weights.WvBs)
     mid = Z + heads[..., 0, :, :]
     mid += heads[..., 1, :, :]
     out = mid @ weights.Wf

@@ -37,6 +37,21 @@ def test_matrix_csv_deterministic_bytes(tmp_path):
     assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()
 
 
+def test_writers_match_per_element_formatting(tmp_path):
+    """Both writers format each row as a per-element repr/str join would, on
+    the floats whose text is easiest to get wrong."""
+    A = np.array([[-0.0, 5e-324, 1e308], [np.inf, np.nan, 3.0]])
+    write_matrix_csv(A, tmp_path / "a.csv")
+    rows = "".join(",".join(repr(x) for x in row.tolist()) + "\n" for row in A)
+    assert (tmp_path / "a.csv").read_bytes() == ("rows,cols\n2,3\n" + rows).encode()
+    B = np.array([[-0.0, 5e-324, 1e308], [1e307, 2.5, 3.0]])
+    write_pgm(B, tmp_path / "b.pgm")
+    pix = np.rint((B - B.min()) / (B.max() - B.min()) * 255.0).astype(int)
+    rows = "".join(" ".join(str(p) for p in row.tolist()) + "\n" for row in pix)
+    head = f"P2\n# linear scale min={float(B.min())!r} max={float(B.max())!r}\n3 2\n255\n"
+    assert (tmp_path / "b.pgm").read_bytes() == (head + rows).encode()
+
+
 def test_pgm_format_and_scaling(tmp_path):
     A = np.array([[0.0, 0.5], [0.25, 1.0]])
     path = tmp_path / "a.pgm"

@@ -20,7 +20,7 @@ from otlab import dual_descent as dd
 from otlab import transformer_core as tc
 from otlab.checks import _flip_first_value_sign
 from otlab.logdomain import log_kernel
-from otlab.problem import ProblemInstance, cost_matrix, permutation_instance
+from otlab.problem import ProblemInstance, cost_matrix, permutation_instance, seeded_instance
 from otlab.prompt import MARKER, ONE_A, ONE_B, ONE_C, SPARE, U, V, XSQ, YSQ, build_prompt
 from otlab.transformer_core import (
     DegeneratePlanRowError,
@@ -196,14 +196,68 @@ def test_flipped_value_sign_breaks_equivalence():
 
 
 def _two_head_loop(state, w):
-    """One layer run head by head, each with its own row softmax."""
+    """One layer run head by head, each with its own row softmax, normalized
+    after the product with its values through the folded map Wv B."""
     Z = state.Z
     mid = Z.copy()
     for Q, Wv, B in zip(w.Qs, w.Wvs, w.Bs):
         logits = Z @ Q @ Z.T
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        mid = mid + (e / e.sum(axis=1, keepdims=True)) @ (Z @ Wv) @ B
+        mid = mid + e @ (Z @ (Wv @ B)) / e.sum(axis=1, keepdims=True)
     return mid + np.maximum(mid @ w.Wf, 0.0)
+
+
+def _softmax_rows(logits):
+    """The textbook row softmax, normalized before any value product."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("n, d", [(1, 1), (6, 2), (40, 3)])
+def test_attention_matches_normalize_first_softmax(lead, n, d):
+    """On random, non-constructed logit and value maps, dividing after the
+    value product agrees with softmax-then-values to 1e-12 of each entry's
+    own scale, softmax @ |values|."""
+    rng = np.random.default_rng((n, d, len(lead)))
+    w = 2 * d + 9
+    Z = rng.uniform(-1.0, 1.0, (*lead, n + 1, w))
+    Qs = rng.normal(0.0, 1.0 / w, (2, w, w))  # moderate logits, a few units
+    Wvs = rng.normal(0.0, 1.0, (2, w, w))
+    got = tc.attention(Z, Qs, Wvs)
+    assert got.shape == (*lead, 2, n + 1, w)
+    for h in (0, 1):
+        A = _softmax_rows(Z @ Qs[h] @ Z.mT)
+        values = Z @ Wvs[h]
+        assert (np.abs(got[..., h, :, :] - A @ values) <= 1e-12 * (A @ np.abs(values))).all()
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_layers_are_descent_steps_at_forward_deep_shape(n):
+    """Criterion 01's 1e-8 over 10 layers at the n, d, lam and gamma of the
+    bench's forward-deep workload; the criterion itself stops at n = 8."""
+    lam, gamma = 0.005, 0.01
+    inst = seeded_instance(n, 2, n, lam)
+    trace = forward(inst, 10, build_constructed_weights(2, lam, gamma), checkpoints=range(11))
+    for ell, it in enumerate(_oracle_duals(inst, 10, gamma)):
+        u, v = trace.duals(ell)
+        assert max(np.abs(u - it.u).max(), np.abs(v - it.v).max()) <= 1e-8
+
+
+def test_folded_value_map_follows_replaced_weights(tmp_path):
+    """A weight set derived from another, by `dataclasses.replace` (the
+    --flip-sign fault) or by `load_weights`, runs its own Wvs @ Bs, never the
+    product the first set folded and cached."""
+    w = build_constructed_weights(2, 0.05, 0.02)
+    state = build_prompt(seeded_instance(6, 2, 0, 0.05))
+    clean = layer_forward(state, w).Z  # folds and caches w's product first
+    bad = _flip_first_value_sign(w)
+    save_weights(bad, tmp_path / "weights.json")
+    for faulted in (bad, load_weights(tmp_path / "weights.json")):
+        got = layer_forward(state, faulted).Z
+        np.testing.assert_array_equal(got, _two_head_loop(state, faulted))
+        assert not np.array_equal(got, clean)
+    np.testing.assert_array_equal(layer_forward(state, w).Z, clean)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -318,7 +372,7 @@ def test_layer_softmax_row_is_the_kernel_over_its_sum_plus_one():
     inst = permutation_instance(4, 1, 0.5)
     w = build_constructed_weights(inst.d, inst.lam, 0.1)
     state = forward(inst, 4, w, checkpoints=[2]).state(2)
-    A = tc._softmax_rows(state.Z @ w.Qs[0] @ state.Z.T)
+    A = _softmax_rows(state.Z @ w.Qs[0] @ state.Z.T)
     np.testing.assert_allclose(A.sum(axis=1), 1.0, rtol=1e-12)
     M = attention_pattern(state, w.Qs[0])
     np.testing.assert_allclose(A[:4], np.column_stack([M, np.ones(4)]) / (M.sum(axis=1, keepdims=True) + 1.0),
