@@ -16,15 +16,15 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 @dataclasses.dataclass(frozen=True)
 class ProblemInstance:
-    """n source/target points in R^d with entropic weight lam > 0."""
+    """n source/target points in R^d with entropic weight lam > 0, kept as read-only copies."""
 
     x: np.ndarray  # (n, d) source points
     y: np.ndarray  # (n, d) target points
     lam: float
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        x = np.array(self.x, dtype=float)
+        y = np.array(self.y, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
         if y.ndim == 1:
@@ -100,7 +100,7 @@ def permutation_instance(n: int, seed: int, lam: float = 0.005) -> ProblemInstan
         raise ValueError("n must be >= 1")
     grid = (1.0 + np.arange(n)) / n
     perm = seeded_permutation(n, seed)
-    return ProblemInstance(x=grid[perm], y=grid.copy(), lam=lam)
+    return ProblemInstance(x=grid[perm], y=grid, lam=lam)
 
 
 def seeded_instance(n: int, d: int, seed: int, lam: float) -> ProblemInstance:

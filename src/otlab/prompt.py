@@ -41,6 +41,9 @@ def width(d: int) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class HiddenState:
+    """A state takes ownership of a float Z and makes it read-only; it does
+    not copy it, since a forward pass makes one state per layer."""
+
     Z: np.ndarray  # (..., n+1, 2d+9): leading axes stack instances
 
     def __post_init__(self):

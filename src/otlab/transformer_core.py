@@ -2,13 +2,12 @@
 
 A layer is two attention heads plus a ReLU feedforward:
 
-    Zmid = Z + sum_h softmax_rows(Z Q_h Z^T) (Z W_h) B_h
+    Zmid = Z + sum_h softmax_rows(Z Q_h Z^T) (Z W_h)
     Znew = Zmid + relu(Zmid Wf)
 
-The layer computes head h as E_h (Z W_h B_h) / rowsum(E_h), with
+The layer computes head h as E_h (Z W_h) / rowsum(E_h), with
 E_h = exp(Z Q_h Z^T - rowmax): the softmax is normalized after the value
-product (see `attention`), and W_h B_h is folded once per weight set
-(`LayerWeights.WvBs`).
+product (see `attention`).
 
 `build_constructed_weights` fills these matrices so that on a prompt encoding
 a transport instance the layer performs exactly one preconditioned descent
@@ -20,8 +19,8 @@ step on the dual variables stored in the state:
   adaptive stepsize denominator appears for free. Its value map reads the
   marker column (1 on data rows, -1/n on the auxiliary row), so attending to
   the data rows contributes -sum M_ij and the auxiliary row +1/n: together the
-  negated descent direction times the stepsize, scaled into the u column by
-  B_1 = gamma I. Head 2 is the transpose story for v.
+  negated descent direction, written into the u column times the stepsize
+  gamma, which the value map carries. Head 2 is the transpose story for v.
 * The same heads deposit a residue on the *auxiliary* row's dual columns (its
   softmax row is uniform). Left in place it would be read back by the next
   layer's logit map as a phantom dual. The feedforward clears it: the active
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import functools
 import json
 from collections.abc import Callable, Iterable, Sequence
 
@@ -68,7 +66,6 @@ class LayerWeights:
     # the two heads stacked on a leading axis, (2, width, width): the only copy
     Qs: np.ndarray
     Wvs: np.ndarray
-    Bs: np.ndarray
     Wf: np.ndarray
     d: int
     lam: float
@@ -78,14 +75,6 @@ class LayerWeights:
     def heads(self) -> np.ndarray:
         # bench/workloads.py:86 still reads this name; the next benchmark change drops it
         return self.Qs
-
-    @functools.cached_property
-    def WvBs(self) -> np.ndarray:
-        """Each head's value map followed by its output map, Wv_h B_h: derived
-        on first use and never saved. Replacing a stack (`dataclasses.replace`,
-        `load_weights`) makes a new set that derives its own; writing into a
-        stack in place would leave this product stale."""
-        return self.Wvs @ self.Bs
 
 
 def attention(Z: np.ndarray, Qs: np.ndarray, Wvs: np.ndarray) -> np.ndarray:
@@ -123,11 +112,10 @@ def attention_pattern(state: HiddenState, Q: np.ndarray, variant: str = "raw_ker
 
 def layer_forward(state: HiddenState, weights: LayerWeights) -> HiddenState:
     """Apply one layer to a state, or to a stack of states at once; both heads
-    read the incoming state, with each output map folded into its value map,
-    and are summed in the order Z + head 1 + head 2, bit-identical to a
-    head-by-head loop on each instance alone."""
+    read the incoming state and are summed in the order Z + head 1 + head 2,
+    bit-identical to a head-by-head loop on each instance alone."""
     Z = state.Z
-    heads = attention(Z, weights.Qs, weights.WvBs)
+    heads = attention(Z, weights.Qs, weights.Wvs)
     mid = Z + heads[..., 0, :, :]
     mid += heads[..., 1, :, :]
     out = mid @ weights.Wf
@@ -166,12 +154,10 @@ def build_constructed_weights(d: int, lam: float, gamma: float) -> LayerWeights:
         Qs = np.stack([G / lam, G.T / lam])
 
     # value maps read the marker column into the dual scratch: data tokens
-    # contribute -1, the auxiliary token +1/n — the negated gradient pieces
+    # contribute -1, the auxiliary token +1/n — the negated gradient pieces,
+    # times the stepsize
     Wvs = np.zeros((2, w, w))
-    Wvs[0, MARKER, U] = -1.0
-    Wvs[1, MARKER, V] = -1.0
-
-    Bs = np.stack([gamma * np.eye(w)] * 2)
+    Wvs[0, MARKER, U] = Wvs[1, MARKER, V] = -gamma
 
     # feedforward clears the auxiliary row's dual residue (see module docstring)
     Wf = np.zeros((w, w))
@@ -180,10 +166,9 @@ def build_constructed_weights(d: int, lam: float, gamma: float) -> LayerWeights:
     Wf[V, V] = -1.0
     Wf[ONE_C, V] = -_RESET_GUARD
 
-    for m in (Qs, Wvs, Bs, Wf):
-        if not np.isfinite(m).all():
-            raise ValueError("constructed weights are not finite for these parameters")
-    weights = LayerWeights(Qs=Qs, Wvs=Wvs, Bs=Bs, Wf=Wf, d=d, lam=lam, gamma=gamma)
+    if not np.isfinite(Qs).all():
+        raise ValueError("constructed weights are not finite for these parameters")
+    weights = LayerWeights(Qs=Qs, Wvs=Wvs, Wf=Wf, d=d, lam=lam, gamma=gamma)
     _probe_check(weights)
     return weights
 
@@ -215,7 +200,7 @@ def _probe_check(weights: LayerWeights) -> None:
 
     values = state.Z @ weights.Wvs[0]
     expect = np.zeros_like(values)
-    expect[:, U] = -state.Z[:, MARKER]
+    expect[:, U] = -weights.gamma * state.Z[:, MARKER]
     if not np.array_equal(values, expect):
         raise ValueError("head-1 value map does not read the marker column")
 
@@ -341,35 +326,32 @@ def apply_plan(pattern: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (P @ x) / sums
 
 
-# weights.json key stem of each stack; head h is stored as stem + str(h + 1)
-_STACKS = {"Q": "Qs", "Wv": "Wvs", "B": "Bs"}
-
-
 def save_weights(weights: LayerWeights, path) -> None:
-    layer = {
-        f"{stem}{h + 1}": getattr(weights, field)[h].tolist() for stem, field in _STACKS.items() for h in (0, 1)
-    }
-    layer["Wf"] = weights.Wf.tolist()
     obj = {
         "d": weights.d,
         "lambda": weights.lam,
         "gamma": weights.gamma,
-        "layers": [layer],
+        "Qs": weights.Qs.tolist(),
+        "Wvs": weights.Wvs.tolist(),
+        "Wf": weights.Wf.tolist(),
     }
     with open(path, "w") as fh:
         json.dump(obj, fh)
 
 
 def load_weights(path) -> LayerWeights:
+    """Read back what `save_weights` wrote, and nothing else: another key set
+    (older files kept each value map apart from its stepsize, in a list of
+    layers) or a matrix of another width than d's raises ValueError."""
     with open(path) as fh:
         obj = json.load(fh)
-    if len(obj["layers"]) != 1:
-        raise ValueError("expected a single shared layer")
-    lw = obj["layers"][0]
-    return LayerWeights(
-        **{field: np.array([lw[stem + "1"], lw[stem + "2"]], dtype=float) for stem, field in _STACKS.items()},
-        Wf=np.array(lw["Wf"], dtype=float),
-        d=int(obj["d"]),
-        lam=float(obj["lambda"]),
-        gamma=float(obj["gamma"]),
-    )
+    keys = ("d", "lambda", "gamma", "Qs", "Wvs", "Wf")
+    if not isinstance(obj, dict) or obj.keys() != set(keys):
+        raise ValueError(f"{path}: a weights file has exactly the keys {', '.join(keys)}")
+    d = int(obj["d"])
+    w = width(d)
+    Qs, Wvs, Wf = (np.array(obj[k], dtype=float) for k in keys[3:])
+    for name, m, shape in (("Qs", Qs, (2, w, w)), ("Wvs", Wvs, (2, w, w)), ("Wf", Wf, (w, w))):
+        if m.shape != shape:
+            raise ValueError(f"{path}: {name} has shape {m.shape}, not {shape} for d = {d}")
+    return LayerWeights(Qs=Qs, Wvs=Wvs, Wf=Wf, d=d, lam=float(obj["lambda"]), gamma=float(obj["gamma"]))

@@ -57,6 +57,20 @@ def test_forward_deep_properties_solve_its_instance(workloads, tmp_path):
     assert props["n"] == 128 and props["reference_sweeps"] > 0
 
 
+def test_forward_deep_op_and_check_twice(workloads, tmp_path):
+    # the check reads the manifest's criterion-03 trend and hashes the
+    # artifacts, weights.json included, against the first operation's
+    wl = workloads.ForwardDeep(0, tmp_path)
+    wl.setup()
+    try:
+        for i in range(2):
+            argv = wl.input(i)
+            assert wl.check(argv, wl.op(argv)) is None
+    finally:
+        wl.close()
+    assert not wl.out.exists()
+
+
 def test_trace_mode_reads_every_per_layer_metric(workloads, tmp_path):
     # `bench/run.py --trace 1` reads trace and result attributes by name
     tracer = importlib.import_module("tracer").Tracer()

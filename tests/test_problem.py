@@ -60,6 +60,13 @@ def test_instance_arrays_are_frozen():
         inst.x[0] = 2.0
 
 
+def test_instance_leaves_the_callers_arrays_writable():
+    a = np.zeros((3, 1))
+    inst = ProblemInstance(x=a, y=a, lam=1.0)
+    a[0, 0] = 5.0  # must not raise "assignment destination is read-only"
+    assert inst.x[0, 0] == inst.y[0, 0] == 0.0
+
+
 def test_seeded_permutation_is_permutation_and_deterministic():
     for n in (1, 2, 5, 16):
         for seed in (0, 1, 123456789):

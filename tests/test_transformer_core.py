@@ -9,6 +9,7 @@ dual columns must track the descent oracle to float64 resolution.
 
 import dataclasses
 import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -49,11 +50,12 @@ def _oracle_duals(inst, depth, gamma):
 def test_weight_shapes_and_structure():
     w = build_constructed_weights(2, 0.5, 0.1)
     width = 13
-    # head h is Qs[h], Wvs[h], Bs[h]
-    assert w.Qs.shape == w.Wvs.shape == w.Bs.shape == (2, width, width)
+    # head h is Qs[h], Wvs[h]; each value map carries the stepsize
+    assert w.Qs.shape == w.Wvs.shape == (2, width, width)
     np.testing.assert_array_equal(w.Qs[1], w.Qs[0].T)
-    for B in w.Bs:
-        np.testing.assert_array_equal(B, 0.1 * np.eye(width))
+    Wvs = np.zeros((2, width, width))
+    Wvs[0, MARKER, U] = Wvs[1, MARKER, V] = -0.1
+    np.testing.assert_array_equal(w.Wvs, Wvs)
     assert w.Wf.shape == (width, width)
     assert (w.d, w.lam, w.gamma) == (2, 0.5, 0.1)
 
@@ -197,13 +199,13 @@ def test_flipped_value_sign_breaks_equivalence():
 
 def _two_head_loop(state, w):
     """One layer run head by head, each with its own row softmax, normalized
-    after the product with its values through the folded map Wv B."""
+    after the product with its values."""
     Z = state.Z
     mid = Z.copy()
-    for Q, Wv, B in zip(w.Qs, w.Wvs, w.Bs):
+    for Q, Wv in zip(w.Qs, w.Wvs):
         logits = Z @ Q @ Z.T
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        mid = mid + e @ (Z @ (Wv @ B)) / e.sum(axis=1, keepdims=True)
+        mid = mid + e @ (Z @ Wv) / e.sum(axis=1, keepdims=True)
     return mid + np.maximum(mid @ w.Wf, 0.0)
 
 
@@ -242,22 +244,6 @@ def test_layers_are_descent_steps_at_forward_deep_shape(n):
     for ell, it in enumerate(_oracle_duals(inst, 10, gamma)):
         u, v = trace.duals(ell)
         assert max(np.abs(u - it.u).max(), np.abs(v - it.v).max()) <= 1e-8
-
-
-def test_folded_value_map_follows_replaced_weights(tmp_path):
-    """A weight set derived from another, by `dataclasses.replace` (the
-    --flip-sign fault) or by `load_weights`, runs its own Wvs @ Bs, never the
-    product the first set folded and cached."""
-    w = build_constructed_weights(2, 0.05, 0.02)
-    state = build_prompt(seeded_instance(6, 2, 0, 0.05))
-    clean = layer_forward(state, w).Z  # folds and caches w's product first
-    bad = _flip_first_value_sign(w)
-    save_weights(bad, tmp_path / "weights.json")
-    for faulted in (bad, load_weights(tmp_path / "weights.json")):
-        got = layer_forward(state, faulted).Z
-        np.testing.assert_array_equal(got, _two_head_loop(state, faulted))
-        assert not np.array_equal(got, clean)
-    np.testing.assert_array_equal(layer_forward(state, w).Z, clean)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -444,7 +430,6 @@ def test_weights_json_round_trip(tmp_path):
         assert (back.d, back.lam, back.gamma) == (w.d, w.lam, w.gamma)
         np.testing.assert_array_equal(weights.Qs, back.Qs)
         np.testing.assert_array_equal(weights.Wvs, back.Wvs)
-        np.testing.assert_array_equal(weights.Bs, back.Bs)
         np.testing.assert_array_equal(weights.Wf, back.Wf)
         # loaded weights drive an identical forward pass, and run the saved heads
         za = forward(inst, 6, weights=weights).states[-1].Z
@@ -455,11 +440,33 @@ def test_weights_json_round_trip(tmp_path):
 
 
 def test_weights_json_bytes_are_pinned(tmp_path):
-    # the bytes written while each head was still stored twice; the format must not drift
+    # re-pinned when the file came to hold Qs, Wvs (the stepsize inside) and Wf
+    # at its top level, with no output maps; the format must not drift
     path = tmp_path / "weights.json"
     save_weights(build_constructed_weights(2, 0.05, 0.02), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "1bca4919ed824e5e55cefd1485aff8eaf886b06496687d21153bea4224e5d945"
+    assert digest == "a4e42f0b42a35f8b1135ef770710e13c2bce91d2550e68f51cb484d962a51275"
+
+
+@pytest.mark.parametrize("case", ["old layout", "extra key", "wrong width"])
+def test_load_weights_reads_only_what_save_weights_writes(tmp_path, case):
+    w = build_constructed_weights(2, 0.05, 0.02)
+    path = tmp_path / "weights.json"
+    save_weights(w, path)
+    obj = json.loads(path.read_text())
+    if case == "old layout":  # each head's maps in a one-layer list, the stepsize in B_h = gamma I
+        B = (w.gamma * np.eye(13)).tolist()
+        layer = {"Q1": w.Qs[0].tolist(), "Q2": w.Qs[1].tolist(), "Wv1": (w.Wvs[0] / w.gamma).tolist(),
+                 "Wv2": (w.Wvs[1] / w.gamma).tolist(), "B1": B, "B2": B, "Wf": obj.pop("Wf")}
+        obj = {"d": 2, "lambda": 0.05, "gamma": 0.02, "layers": [layer]}
+    elif case == "extra key":
+        obj["note"] = "ignored"
+    else:
+        obj["Wvs"] = np.zeros((2, 11, 11)).tolist()  # d = 1's width
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError) as err:
+        load_weights(path)
+    assert str(err.value).startswith(f"{path}: ") and "\n" not in str(err.value)
 
 
 def test_heads_are_views_of_the_stacks():
@@ -468,7 +475,7 @@ def test_heads_are_views_of_the_stacks():
         assert np.shares_memory(Q, w.Qs[h])
         np.testing.assert_array_equal(Q, w.Qs[h])
     # the stacks are the only stored copy of the heads
-    assert [f.name for f in dataclasses.fields(w)] == ["Qs", "Wvs", "Bs", "Wf", "d", "lam", "gamma"]
+    assert [f.name for f in dataclasses.fields(w)] == ["Qs", "Wvs", "Wf", "d", "lam", "gamma"]
 
 
 def test_equivalence_survives_tiny_lam_deep_run():
