@@ -59,6 +59,14 @@ def cost_matrix(inst: ProblemInstance) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def cost_factors(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (Phi, Psi), each (n, d+2), with Phi Psi^T = C up to rounding:
+    phi_i = (x_i, ||x_i||^2, 1) and psi_j = (-2 y_j, 1, ||y_j||^2)."""
+    ones = np.ones((inst.n, 1))
+    x_sq, y_sq = (np.einsum("ij,ij->i", p, p)[:, None] for p in (inst.x, inst.y))
+    return np.hstack([inst.x, x_sq, ones]), np.hstack([-2.0 * inst.y, ones, y_sq])
+
+
 def uniform_instance(rng: np.random.Generator, n: int, d: int, lam: float) -> ProblemInstance:
     """Instance with x, then y, drawn uniformly from [0, 1)^(n, d) by rng."""
     return ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam)

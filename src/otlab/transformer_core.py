@@ -13,7 +13,9 @@ product (see `attention`).
 a transport instance the layer performs exactly one preconditioned descent
 step on the dual variables stored in the state:
 
-* Head 1's bilinear map reproduces the kernel logits
+* Head 1's logit map G/lam pairs the prompt's cost factors, C_ij =
+  phi_i^T psi_j, by a -I block, plus three entries for u_i, v_j and -lam: it
+  never sees the cost. It reproduces the kernel logits
   (-C_ij + u_i + v_j)/lam - 1 between data tokens and 0 against the auxiliary
   token, so its softmax row i is [M_i1 .. M_in, 1] / (sum_j M_ij + 1) — the
   adaptive stepsize denominator appears for free. Its value map reads the
@@ -24,13 +26,13 @@ step on the dual variables stored in the state:
 * The same heads deposit a residue on the *auxiliary* row's dual columns (its
   softmax row is uniform). Left in place it would be read back by the next
   layer's logit map as a phantom dual. The feedforward clears it: the active
-  Wf columns compute relu(-dual - G * flag) with guard G = 1e8, which is 0 on
+  Wf columns compute relu(-dual - 1e8 * flag), with reset guard 1e8: 0 on
   data rows (flag = 1) and exactly -residue on the auxiliary row (flag = 0,
   residue <= 0), restoring its scratch to 0.0 in IEEE arithmetic. Data rows
   therefore require |duals| < 1e8, comfortably true at desk scale.
 
-The weights depend only on (d, lam, gamma), never on n or the points: the one
-matrix set solves every instance size.
+The weights depend only on (d, lam, gamma), never on n, the points or the
+cost: the one matrix set solves every instance size.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from . import dual_descent as dd
 from .dual_descent import DivergenceError
 from .logdomain import log_kernel
 from .problem import ProblemInstance, cost_matrix, uniform_instance
-from .prompt import MARKER, ONE_A, ONE_B, ONE_C, U, V, XSQ, YSQ, HiddenState, build_prompt, read_dual, width, with_duals
+from .prompt import MARKER, ONE, U, V, HiddenState, build_prompt, read_dual, width, with_duals
 
 _RESET_GUARD = 1e8
 
@@ -138,17 +140,13 @@ def build_constructed_weights(d: int, lam: float, gamma: float) -> LayerWeights:
         raise ValueError("gamma must be positive and finite")
 
     w = width(d)
+    r = (w - 4) // 2  # the rank of the cost's factors
 
-    # bilinear form G with z_i G z_j = -||x_i - y_j||^2 + u_i + v_j - lam,
-    # assembled against the prompt's columns; head logits are G/lam
+    # bilinear form G with z_i G z_j = -phi_i^T psi_j + u_i + v_j - lam = -C_ij + u_i + v_j - lam
     G = np.zeros((w, w))
-    for k in range(d):
-        G[k, d + k] = 2.0  # 2 <x_i, y_j>
-    G[XSQ, ONE_A] = -1.0  # -||x_i||^2
-    G[ONE_A, YSQ] = -1.0  # -||y_j||^2
-    G[U, ONE_B] = 1.0  # + u_i
-    G[ONE_B, V] = 1.0  # + v_j
-    G[ONE_C, ONE_C] = -lam  # constant -lam => the -1 in the exponent
+    G[:r, r : 2 * r] = -np.eye(r)
+    G[U, ONE] = G[ONE, V] = 1.0
+    G[ONE, ONE] = -lam  # constant -lam => the -1 in the exponent
     # marker row/column stay zero so the auxiliary token scores 0 both ways
     with np.errstate(over="ignore"):  # a tiny lam overflows to inf, rejected below
         Qs = np.stack([G / lam, G.T / lam])
@@ -161,10 +159,8 @@ def build_constructed_weights(d: int, lam: float, gamma: float) -> LayerWeights:
 
     # feedforward clears the auxiliary row's dual residue (see module docstring)
     Wf = np.zeros((w, w))
-    Wf[U, U] = -1.0
-    Wf[ONE_C, U] = -_RESET_GUARD
-    Wf[V, V] = -1.0
-    Wf[ONE_C, V] = -_RESET_GUARD
+    Wf[U, U] = Wf[V, V] = -1.0
+    Wf[ONE, U] = Wf[ONE, V] = -_RESET_GUARD
 
     if not np.isfinite(Qs).all():
         raise ValueError("constructed weights are not finite for these parameters")

@@ -3,6 +3,7 @@ import pytest
 
 from otlab.problem import (
     ProblemInstance,
+    cost_factors,
     cost_matrix,
     permutation_instance,
     seeded_permutation,
@@ -29,6 +30,29 @@ def test_cost_matrix_matches_loop():
     inst = ProblemInstance(x=x, y=y, lam=0.7)
     expected = [[np.sum((xi - yj) ** 2) for yj in y] for xi in x]
     np.testing.assert_allclose(cost_matrix(inst), expected, rtol=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cost_factors_are_exact_on_integer_points(d):
+    rng = np.random.default_rng(d)
+    x, y = rng.integers(-5, 6, (4, d)), rng.integers(-5, 6, (4, d))
+    inst = ProblemInstance(x=x, y=y, lam=1.0)
+    Phi, Psi = cost_factors(inst)
+    x_sq, y_sq = (x**2).sum(axis=1), (y**2).sum(axis=1)
+    np.testing.assert_array_equal(Phi, np.column_stack([x, x_sq, np.ones(4)]))
+    np.testing.assert_array_equal(Psi, np.column_stack([-2 * y, np.ones(4), y_sq]))
+    # every product and sum is an exactly representable integer
+    np.testing.assert_array_equal(Phi @ Psi.T, cost_matrix(inst))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cost_factors_match_cost_matrix_within_rounding(d):
+    rng = np.random.default_rng(10 + d)
+    inst = ProblemInstance(x=rng.normal(0, 3, (7, d)), y=rng.normal(0, 3, (7, d)), lam=0.5)
+    Phi, Psi = cost_factors(inst)
+    # the expanded form rounds each of its terms, all bounded by ||x_i||^2 + ||y_j||^2
+    scale = (inst.x**2).sum(axis=1)[:, None] + (inst.y**2).sum(axis=1)[None, :]
+    assert (np.abs(Phi @ Psi.T - cost_matrix(inst)) <= 4 * (d + 2) * np.finfo(float).eps * scale).all()
 
 
 def test_instance_shape_properties():

@@ -1,41 +1,40 @@
-"""The engineered input matrix: points, squared norms, flag columns, dual
-scratch space, and the auxiliary row that supplies the +1 in every softmax
-denominator."""
+"""The engineered input matrix: the cost's factors, the flag and marker
+columns, dual scratch space, and the auxiliary row that supplies the +1 in
+every softmax denominator."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from otlab.problem import ProblemInstance, permutation_instance
-from otlab.prompt import (MARKER, ONE_A, ONE_B, ONE_C, SPARE, U, V, XSQ, YSQ, HiddenState, build_prompt, read_dual,
-                          width, with_duals)
+from otlab.problem import ProblemInstance, cost_factors, permutation_instance
+from otlab.prompt import MARKER, ONE, U, V, HiddenState, build_prompt, read_dual, width, with_duals
 
-NAMED = [XSQ, YSQ, ONE_A, ONE_B, ONE_C, MARKER, U, V, SPARE]
+NAMED = [ONE, MARKER, U, V]
 
 
 def test_layout_d1():
-    # x, y fill the first 2d columns; the nine named ones follow
-    assert width(1) == 11
+    # the factors of rank r = d + 2 fill the first 2r columns; the four named ones follow
+    assert width(1) == 10
     cols = np.arange(width(1))
-    assert list(cols[NAMED]) == [2, 3, 4, 5, 6, 7, 8, 9, 10]
+    assert list(cols[NAMED]) == [6, 7, 8, 9]
 
 
 def test_layout_d2():
-    assert width(2) == 13
+    assert width(2) == 12
     cols = np.arange(width(2))
-    assert list(cols[NAMED]) == [4, 5, 6, 7, 8, 9, 10, 11, 12]
+    assert list(cols[NAMED]) == [8, 9, 10, 11]
 
 
 def test_state_reads_n_and_d_from_its_matrix():
     assert [f.name for f in dataclasses.fields(HiddenState)] == ["Z"]
-    one = HiddenState(Z=np.zeros((5, 13)))
+    one = HiddenState(Z=np.zeros((5, 12)))
     assert (one.n, one.d) == (4, 2)
-    stacked = HiddenState(Z=np.zeros((3, 2, 7, 11)))
+    stacked = HiddenState(Z=np.zeros((3, 2, 7, 10)))
     assert (stacked.n, stacked.d) == (6, 1)
-    # 1-D, one row (n = 0), even width, odd width below 11 (d = 0)
-    for shape in ((11,), (1, 11), (5, 12), (5, 9)):
-        with pytest.raises(ValueError, match=r"is not \(\.\.\., n\+1, 2d\+9\) with n, d >= 1"):
+    # 1-D, one row (n = 0), odd width, even width below 10 (d = 0)
+    for shape in ((10,), (1, 10), (5, 11), (5, 8)):
+        with pytest.raises(ValueError, match=r"is not \(\.\.\., n\+1, 2d\+8\) with n, d >= 1"):
             HiddenState(Z=np.zeros(shape))
 
 
@@ -44,8 +43,9 @@ def test_build_prompt_single_point_exact():
     state = build_prompt(inst)
     expected = np.array(
         [
-            [0.5, 0.25, 0.25, 0.0625, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0],
+            # phi = (x, x^2, 1), psi = (-2y, 1, y^2), ONE, MARKER, U, V
+            [0.5, 0.25, 1.0, -0.5, 1.0, 0.0625, 1.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
         ]
     )
     np.testing.assert_array_equal(state.Z, expected)
@@ -54,7 +54,7 @@ def test_build_prompt_single_point_exact():
 def test_build_prompt_rows_and_marker():
     inst = permutation_instance(5, 2)
     state = build_prompt(inst)
-    assert state.Z.shape == (6, 11)
+    assert state.Z.shape == (6, 10)
     np.testing.assert_array_equal(state.Z[:5, MARKER], 1.0)
     assert state.Z[5, MARKER] == -1.0 / 5.0
     # aux row is zero outside the marker column
@@ -67,10 +67,13 @@ def test_build_prompt_squared_norms_d2():
     rng = np.random.default_rng(1)
     inst = ProblemInstance(x=rng.uniform(size=(4, 2)), y=rng.uniform(size=(4, 2)), lam=0.3)
     state = build_prompt(inst)
-    np.testing.assert_allclose(state.Z[:4, XSQ], (inst.x**2).sum(axis=1), rtol=1e-15)
-    np.testing.assert_allclose(state.Z[:4, YSQ], (inst.y**2).sum(axis=1), rtol=1e-15)
+    # phi = (x, ||x||^2, 1) in columns 0..3, psi = (-2y, 1, ||y||^2) in 4..7
+    np.testing.assert_allclose(state.Z[:4, 2], (inst.x**2).sum(axis=1), rtol=1e-15)
+    np.testing.assert_allclose(state.Z[:4, 7], (inst.y**2).sum(axis=1), rtol=1e-15)
     np.testing.assert_array_equal(state.Z[:4, :2], inst.x)
-    np.testing.assert_array_equal(state.Z[:4, 2:4], inst.y)
+    np.testing.assert_array_equal(state.Z[:4, 4:6], -2.0 * inst.y)
+    np.testing.assert_array_equal(state.Z[:4, [3, 6, ONE]], 1.0)
+    np.testing.assert_array_equal(state.Z[:4, :ONE], np.hstack(cost_factors(inst)))
 
 
 def test_dual_scratch_starts_zero_and_round_trips():

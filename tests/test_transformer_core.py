@@ -22,7 +22,7 @@ from otlab import transformer_core as tc
 from otlab.checks import _flip_first_value_sign
 from otlab.logdomain import log_kernel
 from otlab.problem import ProblemInstance, cost_matrix, permutation_instance, seeded_instance
-from otlab.prompt import MARKER, ONE_A, ONE_B, ONE_C, SPARE, U, V, XSQ, YSQ, build_prompt
+from otlab.prompt import MARKER, ONE, U, V, build_prompt, width
 from otlab.transformer_core import (
     DegeneratePlanRowError,
     DivergenceError,
@@ -49,14 +49,26 @@ def _oracle_duals(inst, depth, gamma):
 
 def test_weight_shapes_and_structure():
     w = build_constructed_weights(2, 0.5, 0.1)
-    width = 13
+    cols = width(2)
+    assert cols == 12
     # head h is Qs[h], Wvs[h]; each value map carries the stepsize
-    assert w.Qs.shape == w.Wvs.shape == (2, width, width)
+    assert w.Qs.shape == w.Wvs.shape == (2, cols, cols)
+    # the logit map is a -I block pairing the rank-4 factors, plus the duals'
+    # pairings with the flag and the constant -lam: no entry reads the cost
+    G = np.zeros((cols, cols))
+    G[:4, 4:8] = -np.eye(4)
+    G[U, ONE] = G[ONE, V] = 1.0
+    G[ONE, ONE] = -0.5
+    np.testing.assert_array_equal(w.Qs[0], G / 0.5)
     np.testing.assert_array_equal(w.Qs[1], w.Qs[0].T)
-    Wvs = np.zeros((2, width, width))
+    Wvs = np.zeros((2, cols, cols))
     Wvs[0, MARKER, U] = Wvs[1, MARKER, V] = -0.1
     np.testing.assert_array_equal(w.Wvs, Wvs)
-    assert w.Wf.shape == (width, width)
+    # the feedforward's reset reads the flag column
+    Wf = np.zeros((cols, cols))
+    Wf[U, U] = Wf[V, V] = -1.0
+    Wf[ONE, [U, V]] = -1e8
+    np.testing.assert_array_equal(w.Wf, Wf)
     assert (w.d, w.lam, w.gamma) == (2, 0.5, 0.1)
 
 
@@ -182,8 +194,9 @@ def test_static_prompt_columns_never_move():
     inst = permutation_instance(3, 5, 0.5)
     trace = forward(inst, 30, build_constructed_weights(inst.d, inst.lam, 0.1), checkpoints=range(31))
     first, last = trace.states[0].Z, trace.states[-1].Z
-    static = [0, 1, XSQ, YSQ, ONE_A, ONE_B, ONE_C, MARKER, SPARE]  # d = 1: x, y, and all but the dual scratch
-    np.testing.assert_array_equal(last[:, static], first[:, static])
+    # the cost's factors, ONE and MARKER: every column before the dual scratch U, V
+    np.testing.assert_array_equal(last[:, :U], first[:, :U])
+    assert first[:, :U].any(axis=0).all()
 
 
 def test_flipped_value_sign_breaks_equivalence():
@@ -222,7 +235,7 @@ def test_attention_matches_normalize_first_softmax(lead, n, d):
     value product agrees with softmax-then-values to 1e-12 of each entry's
     own scale, softmax @ |values|."""
     rng = np.random.default_rng((n, d, len(lead)))
-    w = 2 * d + 9
+    w = width(d)
     Z = rng.uniform(-1.0, 1.0, (*lead, n + 1, w))
     Qs = rng.normal(0.0, 1.0 / w, (2, w, w))  # moderate logits, a few units
     Wvs = rng.normal(0.0, 1.0, (2, w, w))
@@ -299,6 +312,38 @@ def test_stacked_pass_is_each_single_pass_and_stacked_descent(n, d, batch, log_l
         u, v = stacked.duals(ell)
         assert max(np.abs(u - it.u).max(), np.abs(v - it.v).max()) <= 1e-8
 
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 16),
+    d=st.integers(1, 2),
+    log_lam=st.floats(-3.0, 1.0),
+    log_ratio=st.floats(-3.0, 3.0),
+    depth=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_layer_is_one_descent_step_from_its_own_duals(n, d, log_lam, log_ratio, depth, seed):
+    """Layer ell + 1 is one float64 gd_step applied to layer ell's own duals,
+    within 1e-10 of max(|theta_ell|_inf, gamma), over every (lam, gamma) the
+    construction accepts, gamma up to 1000 lam. Unlike criterion 01 it does
+    not compare with descent's own trajectory, which from about 4 lam on
+    amplifies rounding (see the test below)."""
+    lam = 10.0**log_lam
+    gamma = lam * 10.0**log_ratio
+    try:
+        w = build_constructed_weights(d, lam, gamma)
+    except ValueError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    inst = ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam)
+    trace = forward(inst, depth, w, checkpoints=range(depth + 1))
+    C = cost_matrix(inst)
+    for ell in range(depth):
+        u, v = trace.duals(ell)
+        step = dd.gd_step(C, dd.DualIterate(u=u, v=v), lam, gamma)
+        got_u, got_v = trace.duals(ell + 1)
+        residual = max(np.abs(got_u - step.u).max(), np.abs(got_v - step.v).max())
+        assert residual <= 1e-10 * max(np.abs(u).max(), np.abs(v).max(), gamma)
 
 
 @pytest.mark.parametrize("ratio, grows", [(20.0, True), (2.0, False)])
@@ -440,12 +485,12 @@ def test_weights_json_round_trip(tmp_path):
 
 
 def test_weights_json_bytes_are_pinned(tmp_path):
-    # re-pinned when the file came to hold Qs, Wvs (the stepsize inside) and Wf
-    # at its top level, with no output maps; the format must not drift
+    # re-pinned when the prompt came to carry the cost's factors (width 2d + 8,
+    # one flag column); the format must not drift
     path = tmp_path / "weights.json"
     save_weights(build_constructed_weights(2, 0.05, 0.02), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "a4e42f0b42a35f8b1135ef770710e13c2bce91d2550e68f51cb484d962a51275"
+    assert digest == "76228de9c5edd2b298c17203e3aa5632b86a943d2eb68cb72c0d9bef5f123e5c"
 
 
 @pytest.mark.parametrize("case", ["old layout", "extra key", "wrong width"])
@@ -455,14 +500,14 @@ def test_load_weights_reads_only_what_save_weights_writes(tmp_path, case):
     save_weights(w, path)
     obj = json.loads(path.read_text())
     if case == "old layout":  # each head's maps in a one-layer list, the stepsize in B_h = gamma I
-        B = (w.gamma * np.eye(13)).tolist()
+        B = (w.gamma * np.eye(12)).tolist()
         layer = {"Q1": w.Qs[0].tolist(), "Q2": w.Qs[1].tolist(), "Wv1": (w.Wvs[0] / w.gamma).tolist(),
                  "Wv2": (w.Wvs[1] / w.gamma).tolist(), "B1": B, "B2": B, "Wf": obj.pop("Wf")}
         obj = {"d": 2, "lambda": 0.05, "gamma": 0.02, "layers": [layer]}
     elif case == "extra key":
         obj["note"] = "ignored"
     else:
-        obj["Wvs"] = np.zeros((2, 11, 11)).tolist()  # d = 1's width
+        obj["Wvs"] = np.zeros((2, 10, 10)).tolist()  # d = 1's width
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError) as err:
         load_weights(path)
