@@ -18,9 +18,9 @@ import numpy as np
 
 def lse(a: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(a), axis)), shifted by the max; entries must be finite."""
-    m = a.max(axis=axis, keepdims=True)
+    m = np.maximum.reduce(a, axis=axis, keepdims=True)
     e = a - m
-    return m.squeeze(axis) + np.log(np.exp(e, out=e).sum(axis=axis))
+    return m.squeeze(axis) + np.log(np.add.reduce(np.exp(e, out=e), axis=axis))
 
 
 def log_kernel(C: np.ndarray, u: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:

@@ -65,9 +65,14 @@ def monotone_ranks(x) -> tuple[int, ...]:
     """perm[i] = rank of x_i, i.e. the target each source maps to when the
     optimal 1-D coupling is the monotone rearrangement. Requires distinct x."""
     x = np.asarray(x, dtype=float).ravel()
-    if np.unique(x).size != x.size:
+    order = np.argsort(x)
+    s = x[order]
+    # -0.0 equals 0.0, and NaNs sort last, where two of them count as a repeat
+    if (s[1:] == s[:-1]).any() or np.isnan(s[-2:]).sum() > 1:
         raise ValueError("ranks undefined for repeated values")
-    return tuple(int(r) for r in np.argsort(np.argsort(x)))
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(x.size)
+    return tuple(ranks.tolist())
 
 
 def finite_diff_grad(fn, point: np.ndarray, h: float = 1e-6) -> np.ndarray:

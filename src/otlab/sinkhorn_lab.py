@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .logdomain import marginal_error, square_matrices
+from .logdomain import lse, marginal_error, square_matrices
 
 
 class SinkhornError(RuntimeError):
@@ -138,23 +138,6 @@ class SinkhornResult:
     sweeps: int
 
 
-# logx[_ALONG[axis]] spreads a scaling along `axis` of an n x n matrix
-_ALONG = ((slice(None), None), (None, slice(None)))
-
-
-def _update(logQ: np.ndarray, logx: np.ndarray, axis: int, buf: np.ndarray) -> np.ndarray:
-    """-log(n sum_axis(Q_ij x)), for x the scaling along `axis`: axis 0 gives
-    q <- 1/(n Q^T w), axis 1 gives w <- 1/(n Q q). The shifted logs live in
-    the n x n scratch `buf`; the result is a fresh array, bit for bit
-    -(log n + lse(logQ + logx, axis))."""
-    np.add(logQ, logx[_ALONG[axis]], out=buf)
-    m = np.maximum.reduce(buf, axis=axis)
-    np.subtract(buf, m[_ALONG[1 - axis]], out=buf)
-    m += np.log(np.add.reduce(np.exp(buf, out=buf), axis=axis))
-    m += np.log(logQ.shape[0])
-    return np.negative(m, out=m)
-
-
 def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 100_000, observe=None) -> SinkhornResult:
     """Alternate column/row normalization until every marginal is within tol
     of 1/n. Raises SinkhornError (with the achieved error) if the budget runs
@@ -172,6 +155,9 @@ def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 
     tol is the plan exponentiated and checked densely; the returned plan
     always passes the dense check.
 
+    Each half step is -(log n + lse(logQ + log x)) for x the other scaling,
+    with its shifted logs allocated afresh.
+
     `observe(sweep, logw, logq)` sees the unit scalings (zeros) as sweep 0,
     then each sweep's logw = g(f(previous logw)) and the logq it came from,
     right after the row step; the arrays are never reused, so it may keep them.
@@ -186,14 +172,14 @@ def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 
     logw = np.zeros(n)
     if observe is not None:
         observe(0, logw, np.zeros(n))
-    buf = np.empty_like(gk.logQ)
+    log_n = np.log(n)
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN sweep error is reported below
-        logq = _update(gk.logQ, logw, 0, buf)
+        logq = -(log_n + lse(gk.logQ + logw[:, None], 0))
         for sweep in range(1, max_sweeps + 1):
-            logw = _update(gk.logQ, logq, 1, buf)
+            logw = -(log_n + lse(gk.logQ + logq, 1))
             if observe is not None:
                 observe(sweep, logw, logq)
-            next_logq = _update(gk.logQ, logw, 0, buf)
+            next_logq = -(log_n + lse(gk.logQ + logw[:, None], 0))
             eps = float(np.abs(np.expm1(logq - next_logq)).max()) / n
             if math.isnan(eps):
                 raise SinkhornError(f"marginal error is nan at sweep {sweep}", eps_star=eps)

@@ -123,6 +123,54 @@ def test_monotone_ranks_rejects_duplicates():
         monotone_ranks([0.3, 0.3, 0.1])
 
 
+def _ranks_before_one_sort(x):
+    """monotone_ranks as it was written with np.unique and two argsorts."""
+    x = np.asarray(x, dtype=float).ravel()
+    if np.unique(x).size != x.size:
+        raise ValueError("ranks undefined for repeated values")
+    return tuple(int(r) for r in np.argsort(np.argsort(x)))
+
+
+@pytest.mark.parametrize("x, repeated", [
+    ([0.5, 0.75, 0.25, 0.0, -1.5], False),
+    ([0.3, 0.1, 0.3], True),
+    ([0.0, -0.0], True),  # -0.0 == 0.0
+    ([2.0, -0.0, 1.0], False),
+    ([0.2, np.nan, -0.4], False),  # NaN ranks last
+    ([np.nan, 0.2, np.nan], True),  # as in np.unique, two NaNs are a repeat
+    ([np.nan], False),
+])
+def test_monotone_ranks_match_double_argsort(x, repeated):
+    if repeated:
+        for ranks in (monotone_ranks, _ranks_before_one_sort):
+            with pytest.raises(ValueError, match="^ranks undefined for repeated values$"):
+                ranks(x)
+    else:
+        assert monotone_ranks(x) == tuple(np.argsort(np.argsort(x)).tolist()) == _ranks_before_one_sort(x)
+
+
+def test_oracle_suite_path_imports_no_numpy_ma():
+    """verify --quick, a lambda = 0.005 reference solve and the three oracles
+    it is checked against, as the bench's oracle-suite runs them, import no
+    numpy.ma (np.unique does; it cost 1.27 MB of peak RSS)."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from otlab import cli, oracles, problem, sinkhorn_lab as sl\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--quick']) == 0\n"
+        "inst = problem.permutation_instance(5, 0, 0.005)\n"
+        "C = problem.cost_matrix(inst)\n"
+        "plan = sl.sinkhorn_solve(sl.gibbs_kernel(C, 0.005), tol=1e-9).plan\n"
+        "ranks = oracles.monotone_ranks(inst.x.ravel())\n"
+        "assert oracles.round_plan(plan) == oracles.brute_force_ot(C).perm == ranks\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(otlab.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "False\n"
+
+
 def test_sort_oracle():
     np.testing.assert_array_equal(sort_oracle([3.0, 1.0, 2.0]), [1.0, 2.0, 3.0])
 

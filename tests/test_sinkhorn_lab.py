@@ -248,6 +248,23 @@ def test_lse_matches_scipy_logsumexp():
         np.testing.assert_allclose(lse(a, axis), logsumexp(a, axis=axis), rtol=1e-15, atol=0)
 
 
+def test_lse_keeps_the_textbook_bits():
+    """lse against max-shifted log-sum-exp written out, bit for bit, on the
+    shapes its callers pass: a kernel, a stack of them, the strided view
+    gd_run takes of its log sums, and a vector, whose result is 0-d."""
+    rng = np.random.default_rng(25)
+    log_sums = rng.uniform(-50.0, 50.0, (7, 2, 5))
+    inputs = [rng.uniform(-1e4, 0.0, (6, 5)), rng.normal(0.0, 30.0, (3, 4, 4)), log_sums[:, 0],
+              rng.uniform(-700.0, 700.0, 9)]
+    for a in inputs:
+        for axis in (-1, -2) if a.ndim > 1 else (0, -1):
+            m = a.max(axis, keepdims=True)
+            textbook = m.squeeze(axis) + np.log(np.exp(a - m).sum(axis))
+            got = lse(a, axis)
+            assert got.shape == textbook.shape and np.array_equal(got, textbook)
+    assert lse(inputs[-1], 0).shape == ()
+
+
 def _reference_iterates(gk, sweeps):
     """The sweep loop the contraction check used to run next to the solve:
     (log w, log q) after m = 0..sweeps full sweeps from unit scalings."""
