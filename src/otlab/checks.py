@@ -95,7 +95,7 @@ def check_gradients(cases: int = 20, seed: int = 0) -> CheckResult:
 
         gu, gv = dd.gradients(C, dd.DualIterate(u=theta[:n], v=theta[n:]), lam)
         analytic = np.concatenate([gu, gv])
-        fd = finite_diff_grad(fn, theta, h=1e-6)
+        fd = finite_diff_grad(fn, theta)
         rel = np.linalg.norm(fd - analytic) / max(np.linalg.norm(analytic), 1e-12)
         worst = max(worst, rel)
     return CheckResult(

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .logdomain import log_kernel, lse
+from .logdomain import log_kernel, lse, square_matrix
 
 
 class DivergenceError(ArithmeticError):
@@ -125,7 +125,8 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 
 def gd_run(C: np.ndarray, lam: float, depth: int, gamma: float) -> Trajectory:
-    """Run `depth` steps of stepsize `gamma` from zero duals, recording
+    """Run `depth` steps of stepsize `gamma` from zero duals on one non-empty
+    n x n cost C (another shape, or a stack, raises ValueError), recording
     per-step diagnostics. A step whose diagnostics are not finite raises
     DivergenceError naming n and the first such step; at zero duals, before
     any step, they depend on (C, lam) alone, and ValueError is raised.
@@ -137,6 +138,7 @@ def gd_run(C: np.ndarray, lam: float, depth: int, gamma: float) -> Trajectory:
         raise ValueError("gamma must be positive and finite")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    C = square_matrix(C)
     n = C.shape[0]
     duals = np.zeros((depth + 1, 2, n))
     log_sums = np.empty((depth + 1, 2, n))

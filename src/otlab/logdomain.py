@@ -37,6 +37,14 @@ def square_matrices(A) -> np.ndarray:
     return A
 
 
+def square_matrix(A) -> np.ndarray:
+    """A as floats: one non-empty square matrix, not a stack."""
+    A = square_matrices(A)
+    if A.ndim != 2:
+        raise ValueError("expected one non-empty square matrix, not a stack")
+    return A
+
+
 def marginal_error(A: np.ndarray) -> float | np.ndarray:
     """Largest deviation of any row/column sum of A from 1/n (sup-norm): a
     float for one matrix, an array over the leading axes for a stack."""

@@ -75,14 +75,14 @@ def monotone_ranks(x) -> tuple[int, ...]:
     return tuple(ranks.tolist())
 
 
-def finite_diff_grad(fn, point: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector."""
+def finite_diff_grad(fn, point: np.ndarray) -> np.ndarray:
+    """Central-difference gradient, step 1e-6, of a scalar function of a flat vector."""
     point = np.asarray(point, dtype=float)
     g = np.empty_like(point)
     for i in range(point.size):
         e = np.zeros_like(point)
-        e[i] = h
-        g[i] = (fn(point + e) - fn(point - e)) / (2.0 * h)
+        e[i] = 1e-6
+        g[i] = (fn(point + e) - fn(point - e)) / 2e-6
     return g
 
 

@@ -106,9 +106,7 @@ def permutation_instance(n: int, seed: int, lam: float = 0.005) -> ProblemInstan
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    grid = (1.0 + np.arange(n)) / n
-    perm = seeded_permutation(n, seed)
-    return ProblemInstance(x=grid[perm], y=grid, lam=lam)
+    return sorting_instance((1.0 + np.array(seeded_permutation(n, seed))) / n, lam)
 
 
 def seeded_instance(n: int, d: int, seed: int, lam: float) -> ProblemInstance:

@@ -40,6 +40,8 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import json
+import math
+import numbers
 from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
@@ -126,19 +128,23 @@ def layer_forward(state: HiddenState, weights: LayerWeights) -> HiddenState:
     return HiddenState(Z=out)
 
 
+def _check_parameters(d, lam, gamma) -> None:
+    """Refuse a construction outside its domain: d an int >= 1 (not a bool),
+    lam and gamma positive and finite reals."""
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    for name, value in (("lam", lam), ("gamma", gamma)):
+        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite")
+
+
 def build_constructed_weights(d: int, lam: float, gamma: float) -> LayerWeights:
     """Weights for point dimension d, entropic weight lam, stepsize gamma.
 
     Self-checks on a random probe instance that the logit/value identities and
     the one-layer-equals-one-step property hold before returning.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError("lam must be positive and finite")
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError("gamma must be positive and finite")
-
+    _check_parameters(d, lam, gamma)
     w = width(d)
     r = (w - 4) // 2  # the rank of the cost's factors
 
@@ -338,16 +344,24 @@ def save_weights(weights: LayerWeights, path) -> None:
 def load_weights(path) -> LayerWeights:
     """Read back what `save_weights` wrote, and nothing else: another key set
     (older files kept each value map apart from its stepsize, in a list of
-    layers) or a matrix of another width than d's raises ValueError."""
+    layers), parameters `build_constructed_weights` refuses, or a matrix
+    that is not numbers, of another width than d's or with an entry that is
+    not finite raises ValueError."""
     with open(path) as fh:
         obj = json.load(fh)
     keys = ("d", "lambda", "gamma", "Qs", "Wvs", "Wf")
     if not isinstance(obj, dict) or obj.keys() != set(keys):
         raise ValueError(f"{path}: a weights file has exactly the keys {', '.join(keys)}")
-    d = int(obj["d"])
+    d, lam, gamma = obj["d"], obj["lambda"], obj["gamma"]
+    try:
+        _check_parameters(d, lam, gamma)
+        Qs, Wvs, Wf = (np.array(obj[k], dtype=float) for k in keys[3:])
+    except (TypeError, ValueError, OverflowError) as err:  # a JSON value of another type or range
+        raise ValueError(f"{path}: {err}") from None
     w = width(d)
-    Qs, Wvs, Wf = (np.array(obj[k], dtype=float) for k in keys[3:])
     for name, m, shape in (("Qs", Qs, (2, w, w)), ("Wvs", Wvs, (2, w, w)), ("Wf", Wf, (w, w))):
         if m.shape != shape:
             raise ValueError(f"{path}: {name} has shape {m.shape}, not {shape} for d = {d}")
-    return LayerWeights(Qs=Qs, Wvs=Wvs, Wf=Wf, d=d, lam=float(obj["lambda"]), gamma=float(obj["gamma"]))
+        if not np.isfinite(m).all():
+            raise ValueError(f"{path}: {name} has an entry that is not finite")
+    return LayerWeights(Qs=Qs, Wvs=Wvs, Wf=Wf, d=d, lam=float(lam), gamma=float(gamma))

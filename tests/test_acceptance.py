@@ -119,7 +119,7 @@ def test_c04_weight_reuse_across_sizes(criterion, shared_weights, trace4, final_
 
 
 def test_c05_closure_harness(criterion):
-    rep = sl.closure_harness(trials=1000, ns=(2, 3, 5, 8), seed=0)
+    rep = sl.closure_harness(trials=1000, seed=0)
     ok = rep["violations"] == 0 and rep["trials"] == 1000
     assert criterion(5, "normalization closure", ok,
                      f"{rep['trials']} randomized members: {rep['violations']} violations "
@@ -127,7 +127,7 @@ def test_c05_closure_harness(criterion):
 
 
 def test_c06_shift_harness(criterion):
-    rep = sl.shift_harness(trials=1000, ns=(2, 3, 5, 8), seed=0)
+    rep = sl.shift_harness(trials=1000, seed=0)
     ok = rep["violations"] == 0 and rep["trials"] == 1000
     assert criterion(6, "normalization shift", ok,
                      f"{rep['trials']} randomized members: {rep['violations']} violations "

@@ -155,6 +155,16 @@ def test_schedule_rejects_bad_parameters():
         dd.radius_stepsize(4, 1e6, 0.005)
 
 
+@pytest.mark.parametrize("C", [np.zeros(3), np.zeros((2, 3)), np.zeros((1, 3, 3)), np.zeros((0, 0))],
+                         ids=["1-D", "2x3", "stack", "empty"])
+def test_descent_and_kernel_take_one_square_cost(C):
+    # a 1-D cost broadcast into a 3 x 3 run, and a 2 x 3 kernel spent every sweep before it raised
+    for call in (lambda: dd.gd_run(C, 1.0, 3, 0.1), lambda: sl.gibbs_kernel(C, 1.0)):
+        with pytest.raises(ValueError, match="^expected (a|one) non-empty square matrix") as err:
+            call()
+        assert "\n" not in str(err.value)
+
+
 def test_gd_run_takes_one_kernel_pass_per_step(monkeypatch):
     """Each recorded iterate's kernel sums also feed the step that leaves it,
     and the iterates are exactly those of the gd_step oracle."""

@@ -183,7 +183,7 @@ def test_finite_diff_quadratic():
 
 def test_finite_diff_stepsize_is_central():
     # f(x) = x^3 has zero second-order error under central differences
-    grad = finite_diff_grad(lambda t: float(t[0] ** 3), np.array([2.0]), h=1e-5)
+    grad = finite_diff_grad(lambda t: float(t[0] ** 3), np.array([2.0]))
     assert grad[0] == pytest.approx(12.0, abs=1e-6)
 
 

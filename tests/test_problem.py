@@ -120,6 +120,17 @@ def test_permutation_instance_layout():
     assert inst.lam == 0.005 and inst.d == 1
 
 
+def test_permutation_instance_keeps_the_bits_of_its_own_grid():
+    # the construction permutation_instance had before sorting_instance built it
+    for n in range(1, 65):
+        grid = (1.0 + np.arange(n)) / n
+        for seed in range(5):
+            inst = permutation_instance(n, seed, 0.05)
+            want_x = grid[seeded_permutation(n, seed)]
+            assert inst.x.tobytes() == want_x[:, None].tobytes() and inst.y.tobytes() == grid[:, None].tobytes()
+            assert inst.x.shape == inst.y.shape == (n, 1) and inst.lam == 0.05
+
+
 def test_sorting_instance_targets_sorted_grid():
     inst = sorting_instance([0.5, 0.75, 0.25, 0.0], lam=0.01)
     np.testing.assert_array_equal(inst.x.ravel(), [0.5, 0.75, 0.25, 0.0])

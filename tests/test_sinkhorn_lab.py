@@ -401,9 +401,9 @@ def test_harness_reports_match_per_trial_reference():
     for seed in range(3):
         assert sl.closure_harness(trials=150, seed=seed) == _reference_harness(150, (2, 3, 5, 8), seed, 3.0, closure)
         assert sl.shift_harness(trials=150, seed=seed) == _reference_harness(150, (2, 3, 5, 8), seed, 4.0, shift)
-    # fewer trials than sizes, and a size listed twice
-    assert sl.closure_harness(trials=3, ns=(2, 3, 5, 8), seed=4) == _reference_harness(3, (2, 3, 5, 8), 4, 3.0, closure)
-    assert sl.shift_harness(trials=31, ns=(3, 2, 3), seed=5) == _reference_harness(31, (3, 2, 3), 5, 4.0, shift)
+    # fewer trials than sizes, and a count no size divides
+    assert sl.closure_harness(trials=3, seed=4) == _reference_harness(3, (2, 3, 5, 8), 4, 3.0, closure)
+    assert sl.shift_harness(trials=31, seed=5) == _reference_harness(31, (2, 3, 5, 8), 5, 4.0, shift)
 
 
 def test_harness_runs_one_scaling_loop_per_n(monkeypatch):
@@ -415,7 +415,7 @@ def test_harness_runs_one_scaling_loop_per_n(monkeypatch):
         return stacked(rngs, n, eps_cap)
 
     monkeypatch.setattr(sl, "random_near_scaled", counted)
-    sl.closure_harness(trials=40, ns=(2, 3, 5, 8), seed=0)
+    sl.closure_harness(trials=40, seed=0)
     assert draws == [(2, 10), (3, 10), (5, 10), (8, 10)]
 
 
@@ -440,10 +440,10 @@ def test_normalization_maps_act_slice_by_slice_on_stacks():
 
 
 def test_harnesses_small_runs_clean():
-    rep = sl.closure_harness(trials=40, ns=(2, 3), seed=1)
+    rep = sl.closure_harness(trials=40, seed=1)
     assert rep["violations"] == 0 and rep["trials"] == 40
     assert 0.0 < rep["worst_slack"] <= 1.0
-    rep = sl.shift_harness(trials=40, ns=(2, 3), seed=1)
+    rep = sl.shift_harness(trials=40, seed=1)
     assert rep["violations"] == 0 and rep["trials"] == 40
 
 
@@ -451,7 +451,7 @@ def test_closure_bound_is_tight_enough_to_be_nontrivial():
     """One normalization can genuinely inflate the error; make sure the
     harness would notice a broken bound by checking the slack is not
     vacuously tiny."""
-    rep = sl.closure_harness(trials=120, ns=(2, 3, 5), seed=3)
+    rep = sl.closure_harness(trials=120, seed=3)
     assert rep["worst_slack"] > 0.05
 
 

@@ -73,7 +73,8 @@ def test_weight_shapes_and_structure():
 
 
 def test_build_rejects_bad_parameters():
-    for d, lam, gamma in ((0, 1.0, 0.1), (1, 0.0, 0.1), (1, 1.0, 0.0), (1, 1.0, -0.2)):
+    for d, lam, gamma in ((0, 1.0, 0.1), (1.7, 1.0, 0.1), (True, 1.0, 0.1), (1, 0.0, 0.1), (1, 1.0, 0.0),
+                          (1, 1.0, -0.2), (1, np.nan, 0.1)):
         with pytest.raises(ValueError):
             build_constructed_weights(d, lam, gamma)
 
@@ -493,7 +494,13 @@ def test_weights_json_bytes_are_pinned(tmp_path):
     assert digest == "76228de9c5edd2b298c17203e3aa5632b86a943d2eb68cb72c0d9bef5f123e5c"
 
 
-@pytest.mark.parametrize("case", ["old layout", "extra key", "wrong width"])
+_OUT_OF_DOMAIN = {"d 0": ("d", 0), "d -1": ("d", -1), "d 1.7": ("d", 1.7), "d '1'": ("d", "1"), "d true": ("d", True),
+                  "lambda -1": ("lambda", -1), "gamma nan": ("gamma", float("nan")), "lambda '1'": ("lambda", "1"),
+                  "lambda 10**400": ("lambda", 10**400)}
+
+
+@pytest.mark.parametrize("case", ["old layout", "extra key", "wrong width", "nan entry", "object entry",
+                                  *_OUT_OF_DOMAIN])
 def test_load_weights_reads_only_what_save_weights_writes(tmp_path, case):
     w = build_constructed_weights(2, 0.05, 0.02)
     path = tmp_path / "weights.json"
@@ -506,8 +513,18 @@ def test_load_weights_reads_only_what_save_weights_writes(tmp_path, case):
         obj = {"d": 2, "lambda": 0.05, "gamma": 0.02, "layers": [layer]}
     elif case == "extra key":
         obj["note"] = "ignored"
-    else:
+    elif case == "wrong width":
         obj["Wvs"] = np.zeros((2, 10, 10)).tolist()  # d = 1's width
+    elif case == "nan entry":
+        obj["Wf"][0][0] = float("nan")
+    elif case == "object entry":
+        obj["Wf"][0][0] = {}
+    else:
+        key, value = _OUT_OF_DOMAIN[case]
+        obj[key] = value
+        if key == "d":  # matrices of the width int(d) gives, so that only d's domain can refuse the file
+            w = width(int(value))
+            obj.update(Qs=np.zeros((2, w, w)).tolist(), Wvs=np.zeros((2, w, w)).tolist(), Wf=np.zeros((w, w)).tolist())
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError) as err:
         load_weights(path)
