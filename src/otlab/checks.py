@@ -27,6 +27,11 @@ class CheckResult:
     metrics: dict
 
 
+def _verdict(name: str, checked: int, passed: bool, detail: str, metrics: dict) -> CheckResult:
+    """Every suite's result: a run that checked nothing fails, whatever else it found."""
+    return CheckResult(name=name, passed=checked > 0 and passed, detail=detail, metrics=metrics)
+
+
 def _flip_first_value_sign(weights: LayerWeights) -> LayerWeights:
     # deliberate fault injection: ascend instead of descend on u
     Wvs = weights.Wvs.copy()
@@ -69,11 +74,11 @@ def check_gd_equivalence(n_seeds: int = 5, flip_sign: bool = False) -> CheckResu
             for n in (2, 4, 8):
                 draws = [np.random.default_rng((seed, n, d, int(lam * 1000))) for seed in range(n_seeds)]
                 insts = [seeded_instance(n, d, int(rng.integers(0, 2**32)), lam) for rng in draws]
-                worst = max(worst, _forward_deviation(insts, depth, weights))
+                if insts:
+                    worst = max(worst, _forward_deviation(insts, depth, weights))
                 cases += len(insts)
-    return CheckResult(
-        name="gd_equivalence",
-        passed=worst <= tol,
+    return _verdict(
+        "gd_equivalence", cases, worst <= tol,
         detail=f"{cases} runs x depth {depth}: max dual deviation {worst:.3e} (tol {tol:.0e})",
         metrics={"max_deviation": worst, "tol": tol, "cases": cases, "gamma": gamma},
     )
@@ -83,6 +88,7 @@ def check_gradients(cases: int = 20, seed: int = 0) -> CheckResult:
     """Analytic dual gradient vs central differences, within relative error 1e-5."""
     tol = 1e-5
     worst = 0.0
+    cases = max(cases, 0)  # the cases actually run
     for c in range(cases):
         rng = np.random.default_rng((seed, c))
         n = int(rng.integers(2, 5))
@@ -98,18 +104,16 @@ def check_gradients(cases: int = 20, seed: int = 0) -> CheckResult:
         fd = finite_diff_grad(fn, theta)
         rel = np.linalg.norm(fd - analytic) / max(np.linalg.norm(analytic), 1e-12)
         worst = max(worst, rel)
-    return CheckResult(
-        name="gradient_check",
-        passed=worst <= tol,
+    return _verdict(
+        "gradient_check", cases, worst <= tol,
         detail=f"{cases} cases: worst relative error {worst:.3e} (tol {tol:.0e})",
         metrics={"worst_rel_error": worst, "tol": tol, "cases": cases},
     )
 
 
 def _harness_result(name: str, report: dict) -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=report["violations"] == 0,
+    return _verdict(
+        name, report["trials"], report["violations"] == 0,
         detail=f"{report['trials']} trials: {report['violations']} violations, worst slack {report['worst_slack']:.3f}",
         metrics=report,
     )
@@ -146,9 +150,8 @@ def check_contraction(instances: int = 20, seed: int = 0) -> CheckResult:
                 continue
             worst_excess = max(worst_excess, mu[m + 1] / mu[m] - eta)
             checked += 1
-    return CheckResult(
-        name="contraction",
-        passed=checked > 0 and worst_excess <= slack,
+    return _verdict(
+        "contraction", checked, worst_excess <= slack,
         detail=f"{checked} sweep ratios over {instances} kernels: worst ratio-minus-eta {worst_excess:.3e}",
         metrics={"worst_excess": float(worst_excess), "ratios_checked": checked, "slack": slack},
     )
@@ -185,9 +188,8 @@ def check_stationarity(seed: int = 0) -> CheckResult:
     grad_bound = dd.min_grad_bound(n, traj.radius, lam, depth)
     grad_sq_min = float(grad_sq.min())
     passed = confined and eps_min <= eps_pred and grad_sq_min <= grad_bound
-    return CheckResult(
-        name="stationarity",
-        passed=passed,
+    return _verdict(
+        "stationarity", traj.depth + 1, passed,
         detail=(
             f"depth {depth}, {'' if confined else 'left '}radius {r:.3f} (realized {traj.radius:.3f}): "
             f"best marginal error {eps_min:.3e} {_cmp(eps_min, eps_pred)} predicted {eps_pred:.3e}; "
@@ -228,9 +230,8 @@ def check_depth_bound(seed: int = 0) -> CheckResult:
         where, against = "(precondition-satisfying)", f"{_cmp(achieved, bound)} bound {bound:.3e}"
     else:
         where, against = f"(left radius {r:.3f}, realized {traj.radius:.3f})", "has no bound outside it"
-    return CheckResult(
-        name="depth_bound",
-        passed=confined and achieved <= bound,
+    return _verdict(
+        "depth_bound", traj.depth + 1, confined and achieved <= bound,
         detail=f"depth {depth} {where}, stationary layer {k}: scaling distance {achieved:.3e} {against}",
         metrics={
             "depth": depth,

@@ -20,11 +20,10 @@ from . import __version__, checks
 from . import dual_descent as dd
 from . import io as otio
 from . import sinkhorn_lab as sl
-from .logdomain import marginal_error
+from .logdomain import DegeneratePlanError, marginal_error
 from .oracles import sort_oracle
 from .problem import cost_matrix, seeded_instance, sorting_instance
 from .transformer_core import (
-    DegeneratePlanRowError,
     DivergenceError,
     apply_plan,
     attention_pattern,
@@ -300,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"otlab: {exc}; the run diverged", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (sl.SinkhornError, DegeneratePlanRowError) as exc:  # before ValueError: a zero row is one
+    except (sl.SinkhornError, DegeneratePlanError) as exc:  # before ValueError: a degenerate plan is one
         print(f"otlab: {exc}; the run did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (ValueError, OSError, MemoryError) as exc:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .logdomain import log_kernel, lse, square_matrix
+from .logdomain import integer_at_least, log_kernel, lse, nonnegative_radius, positive_finite, square_matrix
 
 
 class DivergenceError(ArithmeticError):
@@ -93,8 +93,8 @@ def gd_step(C: np.ndarray, it: DualIterate, lam: float, gamma: float) -> DualIte
 def radius_stepsize(n: int, r: float, lam: float) -> float:
     """gamma = exp(-2 r / lam) / (n + 2), the inverse of the smoothness
     constant on the ball of radius r, which guarantees monotone descent there."""
-    if not r >= 0:
-        raise ValueError("radius must be nonnegative")
+    nonnegative_radius(r)
+    positive_finite("lam", lam)
     # 1/smoothness_bound without forming e^{2r/lam}, which overflows first
     gamma = math.exp(-2.0 * r / lam) / (n + 2)
     if not 0.0 < gamma < math.inf:
@@ -127,17 +127,17 @@ def _norms(a: np.ndarray) -> np.ndarray:
 def gd_run(C: np.ndarray, lam: float, depth: int, gamma: float) -> Trajectory:
     """Run `depth` steps of stepsize `gamma` from zero duals on one non-empty
     n x n cost C (another shape, or a stack, raises ValueError), recording
-    per-step diagnostics. A step whose diagnostics are not finite raises
+    per-step diagnostics; lam and gamma must be positive and finite reals,
+    and depth an integer >= 0. A step whose diagnostics are not finite raises
     DivergenceError naming n and the first such step; at zero duals, before
     any step, they depend on (C, lam) alone, and ValueError is raised.
 
     The loop makes one kernel pass per iterate and keeps its log sums; the
     diagnostics are computed from them once, after the loop.
     """
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    positive_finite("lam", lam)
+    integer_at_least("depth", depth, 0)
+    positive_finite("gamma", gamma)
     C = square_matrix(C)
     n = C.shape[0]
     duals = np.zeros((depth + 1, 2, n))
@@ -207,6 +207,7 @@ def min_grad_bound(n: int, r: float, lam: float, depth: int) -> float:
     to radius r with the radius-matched stepsize."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    nonnegative_radius(r)
     return smoothness_bound(n, r, lam) * (n * np.exp(r / lam) + 1.0) * r / depth
 
 
@@ -215,4 +216,5 @@ def best_marginal_eps(n: int, r: float, lam: float, depth: int) -> float:
     eps of 1/n: eps^2 = 3 n e^{3r/lam} r / depth."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    nonnegative_radius(r)
     return float(np.sqrt(3.0 * n * np.exp(3.0 * r / lam) * r / depth))

@@ -8,12 +8,38 @@ whose entries underflow to 0.0 (or overflow) long before the quantities built
 from them do at lam as small as 5e-3. So M is kept as its log, and its row and
 column sums are taken with `lse`. A descent step turns them into adaptive
 steps, a Sinkhorn sweep into new scalings. `marginal_error` is the one dense
-check, applied to plans that have been exponentiated.
+check, applied to plans that have been exponentiated. Each input rule the
+modules share is one gate here, beside the one error for an unreadable plan.
 """
 
 from __future__ import annotations
 
+import numbers
+import sys
+
 import numpy as np
+
+
+class DegeneratePlanError(ValueError):
+    """A plan no answer can be read out of: a zero row, tied maxima or an argmax that is no bijection."""
+
+
+def positive_finite(name: str, value) -> None:
+    """Refuse a value that is not a positive real number within the float range."""
+    if not (isinstance(value, numbers.Real) and 0 < value <= sys.float_info.max):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def integer_at_least(name: str, value, lo: int) -> None:
+    """Refuse a value that is not an integer >= lo; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
+def nonnegative_radius(r) -> None:
+    """Refuse a radius below 0 or NaN, where the bounds on a ball have no meaning."""
+    if not r >= 0:
+        raise ValueError(f"radius must be nonnegative, got {r!r}")
 
 
 def lse(a: np.ndarray, axis: int) -> np.ndarray:

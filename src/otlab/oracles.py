@@ -7,15 +7,13 @@ import itertools
 
 import numpy as np
 
+from .logdomain import DegeneratePlanError, square_matrix
+
 MAX_BRUTE_FORCE_N = 9
 # exhaustive search scores the permutations sharing a prefix as one block of
 # 6! = 720 rows (fewer below n = 6), so its memory does not grow with n;
 # 5,040-row blocks were no faster up to n = 8 and held about 1 MB more
 _BLOCK_TAIL = 6
-
-
-class DegeneratePlanError(ValueError):
-    pass
 
 
 @dataclasses.dataclass(frozen=True)
@@ -30,10 +28,8 @@ def brute_force_ot(C: np.ndarray) -> PermutationPlan:
 
     cost is Tr(P^T C) for the coupling P with P[i, perm[i]] = 1/n.
     """
-    C = np.asarray(C, dtype=float)
+    C = square_matrix(C)
     n = C.shape[0]
-    if C.shape != (n, n) or n == 0:
-        raise ValueError("cost matrix must be square and non-empty")
     if n > MAX_BRUTE_FORCE_N:
         raise ValueError(f"refusing to enumerate {n}! permutations (n > {MAX_BRUTE_FORCE_N})")
     rows = np.arange(n)
@@ -93,10 +89,8 @@ def round_plan(P: np.ndarray) -> tuple[int, ...]:
     map fails to be a bijection (e.g. the uniform plan), and ValueError for a
     plan that is empty or not finite.
     """
-    P = np.asarray(P, dtype=float)
+    P = square_matrix(P)
     n = P.shape[0]
-    if P.shape != (n, n) or n == 0:
-        raise ValueError("plan must be square and non-empty")
     if not np.isfinite(P).all():
         raise ValueError("plan entries must be finite")
     perm = []

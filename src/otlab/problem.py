@@ -11,6 +11,8 @@ import dataclasses
 
 import numpy as np
 
+from .logdomain import positive_finite
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -33,8 +35,7 @@ class ProblemInstance:
             raise ValueError(f"x and y must both be (n, d) with n, d >= 1, got {x.shape} and {y.shape}")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("points must be finite")
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        positive_finite("lam", self.lam)
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x", x)

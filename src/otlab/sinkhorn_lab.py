@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from .logdomain import lse, marginal_error, square_matrices, square_matrix
+from .logdomain import (integer_at_least, lse, marginal_error, nonnegative_radius, positive_finite, square_matrices,
+                        square_matrix)
 
 
 class SinkhornError(RuntimeError):
@@ -47,8 +48,7 @@ class GibbsKernel:
 def gibbs_kernel(C: np.ndarray, lam: float) -> GibbsKernel:
     """The kernel of one non-empty n x n cost C; a stack or another shape raises ValueError."""
     C = square_matrix(C)
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError("lam must be positive and finite")
+    positive_finite("lam", lam)
     with np.errstate(over="ignore"):  # -inf past the float range: a kernel entry of exactly 0
         return GibbsKernel(logQ=-C / lam - 1.0, lam=lam)
 
@@ -58,22 +58,22 @@ def gibbs_kernel(C: np.ndarray, lam: float) -> GibbsKernel:
 # stack of them over the last two axes
 
 
+def _normalizers(A: np.ndarray, axis: int) -> np.ndarray:
+    A = square_matrices(A)
+    s = A.sum(axis=axis)
+    if not (np.isfinite(s).all() and (s > 0).all()):
+        raise ValueError(f"sums over axis {axis} must be positive and finite")
+    return 1.0 / (A.shape[-1] * s)
+
+
 def row_fn(A: np.ndarray) -> np.ndarray:
     """Row normalizers 1/(n * row sums)."""
-    A = square_matrices(A)
-    s = A.sum(axis=-1)
-    if not (np.isfinite(s).all() and (s > 0).all()):
-        raise ValueError("row sums must be positive and finite")
-    return 1.0 / (A.shape[-1] * s)
+    return _normalizers(A, -1)
 
 
 def col_fn(A: np.ndarray) -> np.ndarray:
     """Column normalizers 1/(n * column sums)."""
-    A = square_matrices(A)
-    s = A.sum(axis=-2)
-    if not (np.isfinite(s).all() and (s > 0).all()):
-        raise ValueError("column sums must be positive and finite")
-    return 1.0 / (A.shape[-1] * s)
+    return _normalizers(A, -2)
 
 
 def f_map(A: np.ndarray) -> np.ndarray:
@@ -161,8 +161,7 @@ def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 
     then each sweep's logw = g(f(previous logw)) and the logq it came from,
     right after the row step; the arrays are never reused, so it may keep them.
     """
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    integer_at_least("max_sweeps", max_sweeps, 1)
     if tol is None:
         tol = 1e-12 if gk.lam >= 0.05 else 1e-8
     if not tol > 0:  # also catches NaN
@@ -215,6 +214,7 @@ def normalization_mu_shifts(A: np.ndarray) -> tuple:
 def scaling_bound_depth(n: int, r: float, lam: float) -> float:
     """The depth 64 n^3 e^{3r/lam} r from which scaling_convergence_bound
     applies; inf once the exponential overflows."""
+    nonnegative_radius(r)
     return float(64.0 * n**3 * np.exp(3.0 * r / lam) * r)
 
 
@@ -275,7 +275,8 @@ def _harness(trials: int, seed: int, k: float, ratios) -> dict:
     """Draw a matrix with marginal error eps < 1/(k n) per trial and count the
     `ratios(A, n, eps)` (each a bound's use of its slack) that exceed 1.
     Trial t has size (2, 3, 5, 8)[t % 4] and generator (seed, t), so it draws
-    the same matrix whatever else runs; the trials of one size form one stack."""
+    the same matrix whatever else runs; the trials of one size form one stack.
+    The report counts the trials drawn: none for trials <= 0."""
     violations = 0
     worst = 0.0
     for i, n in enumerate((2, 3, 5, 8)):
@@ -286,7 +287,7 @@ def _harness(trials: int, seed: int, k: float, ratios) -> dict:
         for ratio in ratios(A, n, eps):
             worst = max(worst, float(ratio.max()))
             violations += int((ratio > 1.0).sum())
-    return {"trials": trials, "violations": violations, "worst_slack": worst}
+    return {"trials": max(trials, 0), "violations": violations, "worst_slack": worst}
 
 
 def closure_harness(trials: int = 1000, seed: int = 0) -> dict:

@@ -40,24 +40,17 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import json
-import math
-import numbers
 from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import dual_descent as dd
 from .dual_descent import DivergenceError
-from .logdomain import log_kernel
+from .logdomain import DegeneratePlanError, integer_at_least, log_kernel, positive_finite
 from .problem import ProblemInstance, cost_matrix, uniform_instance
 from .prompt import MARKER, ONE, U, V, HiddenState, build_prompt, read_dual, width, with_duals
 
 _RESET_GUARD = 1e8
-
-
-class DegeneratePlanRowError(ValueError):
-    pass
-
 
 def _log_kernel_cap(n: int) -> float:
     # log of sqrt(largest float)/n: a kernel entry above it may overflow the
@@ -129,13 +122,10 @@ def layer_forward(state: HiddenState, weights: LayerWeights) -> HiddenState:
 
 
 def _check_parameters(d, lam, gamma) -> None:
-    """Refuse a construction outside its domain: d an int >= 1 (not a bool),
-    lam and gamma positive and finite reals."""
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
-        raise ValueError(f"d must be an integer >= 1, got {d!r}")
-    for name, value in (("lam", lam), ("gamma", gamma)):
-        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite")
+    """Refuse a construction outside its domain."""
+    integer_at_least("d", d, 1)
+    positive_finite("lam", lam)
+    positive_finite("gamma", gamma)
 
 
 def build_constructed_weights(d: int, lam: float, gamma: float) -> LayerWeights:
@@ -231,6 +221,7 @@ def divergence_guard(C: np.ndarray, lam: float) -> Callable[[int, HiddenState], 
     only for the layers it does not clear. For a stacked pass, C stacks the
     instances' cost matrices alike and the guard holds them all.
     """
+    positive_finite("lam", lam)
     n = C.shape[-1]
     log_cap = _log_kernel_cap(n)
     c_min = C.min()
@@ -291,10 +282,11 @@ def forward(
     """
     if record_patterns:
         raise ValueError("forward keeps states only; read patterns with attention_pattern")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    integer_at_least("depth", depth, 0)
     keep = set(checkpoints)
-    if any(not 0 <= k <= depth for k in keep):
+    for k in keep:
+        integer_at_least("checkpoints", k, 0)
+    if any(k > depth for k in keep):
         raise ValueError(f"checkpoints must lie in [0, {depth}]")
     keep.add(depth)
 
@@ -324,7 +316,7 @@ def apply_plan(pattern: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise ValueError("plan entries must be nonnegative")
     sums = P.sum(axis=1)
     if (sums <= 0).any():
-        raise DegeneratePlanRowError("plan has a zero row")
+        raise DegeneratePlanError("plan has a zero row")
     return (P @ x) / sums
 
 

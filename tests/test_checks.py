@@ -160,3 +160,19 @@ def test_contraction_that_checks_no_ratio_fails(monkeypatch):
     monkeypatch.setattr(checks.sl, "hilbert_metric_logs", lambda *args: 0.0)
     res = checks.check_contraction(instances=2)
     assert not res.passed and res.metrics["ratios_checked"] == 0
+
+
+@pytest.mark.parametrize(
+    "suite, sizes",
+    [
+        (checks.check_closure, {"trials": 0}),  # passed with "0 trials: 0 violations"
+        (checks.check_shift, {"trials": -3}),  # passed with "-3 trials"
+        (checks.check_gradients, {"cases": 0}),  # passed
+        (checks.check_gd_equivalence, {"n_seeds": 0}),  # raised "need at least one array to stack"
+    ],
+    ids=["closure", "shift", "gradients", "equivalence"],
+)
+def test_suite_that_checks_nothing_fails(suite, sizes):
+    res = suite(**sizes)
+    assert not res.passed
+    assert res.detail.startswith("0 ")  # the count it actually checked

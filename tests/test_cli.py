@@ -7,9 +7,12 @@ non-convergence.
 
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -498,3 +501,33 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
 
 def test_missing_config_file_is_usage_error(tmp_path):
     assert main(["forward", "--config", str(tmp_path / "absent.cfg")]) == 1
+
+
+def _otlab_exception_classes():
+    found = []
+    for info in pkgutil.iter_modules(otlab.__path__):
+        module = importlib.import_module(f"otlab.{info.name}")
+        found += [obj for obj in vars(module).values()
+                  if inspect.isclass(obj) and issubclass(obj, BaseException) and obj.__module__ == module.__name__]
+    return found
+
+
+@pytest.mark.parametrize("cls", _otlab_exception_classes(), ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
+def test_every_otlab_error_exits_with_a_documented_code_and_one_line(cls, monkeypatch, capsys):
+    """Each exception class otlab defines, raised from a command, ends main
+    with exit 1 or 3 and one stderr line, never a traceback."""
+
+    def stub(args):
+        exc = cls.__new__(cls)
+        BaseException.__init__(exc, "stub failure")  # whatever arguments the class's own __init__ takes
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_verify", stub)
+    assert main(["verify"]) in (cli.EXIT_USAGE, cli.EXIT_NO_CONVERGENCE)
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("otlab: stub failure")
+
+
+def test_otlab_exception_classes_are_found():
+    names = {cls.__name__ for cls in _otlab_exception_classes()}
+    assert {"DivergenceError", "SinkhornError", "DegeneratePlanError"} <= names

@@ -20,11 +20,10 @@ from hypothesis import strategies as st
 from otlab import dual_descent as dd
 from otlab import transformer_core as tc
 from otlab.checks import _flip_first_value_sign
-from otlab.logdomain import log_kernel
+from otlab.logdomain import DegeneratePlanError, log_kernel
 from otlab.problem import ProblemInstance, cost_matrix, permutation_instance, seeded_instance
 from otlab.prompt import MARKER, ONE, U, V, build_prompt, width
 from otlab.transformer_core import (
-    DegeneratePlanRowError,
     DivergenceError,
     apply_plan,
     attention_pattern,
@@ -458,7 +457,7 @@ def test_apply_plan_rejects_non_finite_plan():
 
 
 def test_apply_plan_rejects_zero_row():
-    with pytest.raises(DegeneratePlanRowError):
+    with pytest.raises(DegeneratePlanError):
         apply_plan(np.array([[0.0, 0.0], [0.5, 0.5]]), np.array([1.0, 2.0]))
 
 
