@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .logdomain import integer_at_least, log_kernel, lse, nonnegative_radius, positive_finite, square_matrix
+from .logdomain import ball, integer_at_least, log_kernel, lse, positive_finite, square_matrix
 
 
 class DivergenceError(ArithmeticError):
@@ -93,8 +93,7 @@ def gd_step(C: np.ndarray, it: DualIterate, lam: float, gamma: float) -> DualIte
 def radius_stepsize(n: int, r: float, lam: float) -> float:
     """gamma = exp(-2 r / lam) / (n + 2), the inverse of the smoothness
     constant on the ball of radius r, which guarantees monotone descent there."""
-    nonnegative_radius(r)
-    positive_finite("lam", lam)
+    ball(n, r, lam)
     # 1/smoothness_bound without forming e^{2r/lam}, which overflows first
     gamma = math.exp(-2.0 * r / lam) / (n + 2)
     if not 0.0 < gamma < math.inf:
@@ -187,6 +186,7 @@ def smoothness_bound(n: int, r: float, lam: float) -> float:
     whenever lam >= 1 (2n/e <= n+2); for smaller lam the Hessian's 1/lam
     factor can exceed it and the matched stepsize loses its descent guarantee.
     """
+    ball(n, r, lam)
     return (n + 2) * np.exp(2.0 * r / lam)
 
 
@@ -205,16 +205,14 @@ def hessian(C: np.ndarray, it: DualIterate, lam: float) -> np.ndarray:
 def min_grad_bound(n: int, r: float, lam: float, depth: int) -> float:
     """Bound on min_k ||grad L(theta_k)||^2 over a depth-`depth` run confined
     to radius r with the radius-matched stepsize."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    nonnegative_radius(r)
+    integer_at_least("depth", depth, 1)
+    # smoothness_bound, evaluated first, gates (n, r, lam)
     return smoothness_bound(n, r, lam) * (n * np.exp(r / lam) + 1.0) * r / depth
 
 
 def best_marginal_eps(n: int, r: float, lam: float, depth: int) -> float:
     """eps such that some iterate k <= depth has all marginal defects within
     eps of 1/n: eps^2 = 3 n e^{3r/lam} r / depth."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    nonnegative_radius(r)
+    ball(n, r, lam)
+    integer_at_least("depth", depth, 1)
     return float(np.sqrt(3.0 * n * np.exp(3.0 * r / lam) * r / depth))

@@ -36,10 +36,12 @@ def integer_at_least(name: str, value, lo: int) -> None:
         raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
-def nonnegative_radius(r) -> None:
-    """Refuse a radius below 0 or NaN, where the bounds on a ball have no meaning."""
+def ball(n, r, lam) -> None:
+    """Refuse (n, r, lam) outside the bounds' domain: n >= 1 points, radius r >= 0, lam positive and finite."""
+    integer_at_least("n", n, 1)
     if not r >= 0:
         raise ValueError(f"radius must be nonnegative, got {r!r}")
+    positive_finite("lam", lam)
 
 
 def lse(a: np.ndarray, axis: int) -> np.ndarray:
@@ -69,6 +71,14 @@ def square_matrix(A) -> np.ndarray:
     if A.ndim != 2:
         raise ValueError("expected one non-empty square matrix, not a stack")
     return A
+
+
+def plan_matrix(P) -> np.ndarray:
+    """P as floats: one non-empty square matrix of finite, nonnegative entries."""
+    P = square_matrix(P)
+    if not (np.isfinite(P).all() and (P >= 0).all()):
+        raise ValueError("plan entries must be finite and nonnegative")
+    return P
 
 
 def marginal_error(A: np.ndarray) -> float | np.ndarray:

@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from .logdomain import DegeneratePlanError, square_matrix
+from .logdomain import DegeneratePlanError, plan_matrix, square_matrix
 
 MAX_BRUTE_FORCE_N = 9
 # exhaustive search scores the permutations sharing a prefix as one block of
@@ -87,12 +87,10 @@ def round_plan(P: np.ndarray) -> tuple[int, ...]:
 
     Raises DegeneratePlanError when any row's maximum is tied or the argmax
     map fails to be a bijection (e.g. the uniform plan), and ValueError for a
-    plan that is empty or not finite.
+    plan that is not one non-empty square matrix of finite, nonnegative entries.
     """
-    P = square_matrix(P)
+    P = plan_matrix(P)
     n = P.shape[0]
-    if not np.isfinite(P).all():
-        raise ValueError("plan entries must be finite")
     perm = []
     for i in range(n):
         row = P[i]

@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 
-from .logdomain import positive_finite
+from .logdomain import integer_at_least, positive_finite
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -70,6 +70,7 @@ def cost_factors(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
 
 def uniform_instance(rng: np.random.Generator, n: int, d: int, lam: float) -> ProblemInstance:
     """Instance with x, then y, drawn uniformly from [0, 1)^(n, d) by rng."""
+    integer_at_least("n", n, 1)
     return ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam)
 
 
@@ -105,8 +106,7 @@ def permutation_instance(n: int, seed: int, lam: float = 0.005) -> ProblemInstan
     The optimal (unregularized) plan is then the permutation matching each x_i
     to its rank, which makes these instances a sorting benchmark.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    integer_at_least("n", n, 1)
     return sorting_instance((1.0 + np.array(seeded_permutation(n, seed))) / n, lam)
 
 

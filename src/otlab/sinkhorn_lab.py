@@ -21,8 +21,7 @@ import math
 
 import numpy as np
 
-from .logdomain import (integer_at_least, lse, marginal_error, nonnegative_radius, positive_finite, square_matrices,
-                        square_matrix)
+from .logdomain import ball, integer_at_least, lse, marginal_error, positive_finite, square_matrices, square_matrix
 
 
 class SinkhornError(RuntimeError):
@@ -138,11 +137,12 @@ class SinkhornResult:
 
 
 def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 100_000, observe=None) -> SinkhornResult:
-    """Alternate column/row normalization until every marginal is within tol
-    of 1/n. Raises SinkhornError (with the achieved error) if the budget runs
-    out — the kernel is strictly positive in exact arithmetic, so that only
-    signals an unreachable tolerance, not divergence — or at once at a sweep
-    whose error is NaN, as when a whole kernel row underflows to zero.
+    """Alternate column/row normalization until every marginal is within tol,
+    positive and finite, of 1/n. Raises SinkhornError (with the achieved
+    error) if the budget runs out — the kernel is strictly positive in exact
+    arithmetic, so that only signals an unreachable tolerance, not
+    divergence — or at once at a sweep whose error is NaN, as when a whole
+    kernel row underflows to zero.
 
     The default tol is 1e-12, or 1e-8 below lam = 0.05: near-deterministic
     plans contract too slowly for 1e-12 (83,502 sweeps at n = 4, lam = 0.005,
@@ -164,8 +164,7 @@ def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 
     integer_at_least("max_sweeps", max_sweeps, 1)
     if tol is None:
         tol = 1e-12 if gk.lam >= 0.05 else 1e-8
-    if not tol > 0:  # also catches NaN
-        raise ValueError(f"tol must be positive, got {tol}")
+    positive_finite("tol", tol)
     n = gk.n
     logw = np.zeros(n)
     if observe is not None:
@@ -214,7 +213,7 @@ def normalization_mu_shifts(A: np.ndarray) -> tuple:
 def scaling_bound_depth(n: int, r: float, lam: float) -> float:
     """The depth 64 n^3 e^{3r/lam} r from which scaling_convergence_bound
     applies; inf once the exponential overflows."""
-    nonnegative_radius(r)
+    ball(n, r, lam)
     return float(64.0 * n**3 * np.exp(3.0 * r / lam) * r)
 
 
@@ -225,6 +224,7 @@ def scaling_convergence_bound(n: int, r: float, lam: float, eta: float, depth: i
     """
     if not 0 <= eta < 1:
         raise ValueError(f"contraction factor must be in [0, 1), got {eta}")
+    integer_at_least("depth", depth, 1)
     needed = scaling_bound_depth(n, r, lam)
     if depth < needed:
         raise ValueError(f"depth {depth} below the bound's precondition {needed:.3g}")

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import dual_descent as dd
 from .dual_descent import DivergenceError
-from .logdomain import DegeneratePlanError, integer_at_least, log_kernel, positive_finite
+from .logdomain import DegeneratePlanError, integer_at_least, log_kernel, plan_matrix, positive_finite
 from .problem import ProblemInstance, cost_matrix, uniform_instance
 from .prompt import MARKER, ONE, U, V, HiddenState, build_prompt, read_dual, width, with_duals
 
@@ -306,14 +306,10 @@ def forward(
 def apply_plan(pattern: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Barycentric image of x under a nonnegative plan: rescale each row to
     sum 1, then multiply. A zero row has no barycenter and raises."""
-    P = np.asarray(pattern, dtype=float)
+    P = plan_matrix(pattern)
     x = np.asarray(x, dtype=float)
-    if P.ndim != 2 or P.shape[1] != x.shape[0]:
+    if P.shape[1] != x.shape[0]:
         raise ValueError("pattern columns must match len(x)")
-    if not np.isfinite(P).all():
-        raise ValueError("plan entries must be finite")
-    if (P < 0).any():
-        raise ValueError("plan entries must be nonnegative")
     sums = P.sum(axis=1)
     if (sums <= 0).any():
         raise DegeneratePlanError("plan has a zero row")

@@ -184,6 +184,11 @@ def test_sort_requires_x(capsys):
         ["sort", "--x", ","],  # named the internal (0, 1) arrays
         ["gd", "--d", "0"],  # named the internal (4, 0) arrays
         ["sinkhorn", "--d", "0"],
+        # named the internal (0, 2) arrays; at d = 1 it read "n must be >= 1"
+        ["forward", "--n", "0", "--d", "2"],
+        ["gd", "--d", "2", "--n", "0"],
+        ["sinkhorn", "--d", "2", "--n", "0"],
+        ["sinkhorn", "--tol", "inf", "--d", "2", "--n", "6", "--lambda", "0.1"],  # exited 0 after 1 sweep
         # parser errors printed a bare usage line without the reason
         ["forward", "--bogus", "1"],
         ["bogus"],
@@ -213,7 +218,12 @@ def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
              ("gd", "--gamma", "-1e-3"): "gamma must be positive and finite",
              ("sort", "--x", "-0.5,1"): "values to sort must lie in [0, 1]",
              ("forward", "--lambda", "1e-309", "--depth", "3"): "constructed weights are not finite",
-             ("gd", "--lambda", "1e308", "--depth", "3"): "n=4: descent diagnostics are not finite at zero duals"}
+             ("gd", "--lambda", "1e308", "--depth", "3"): "n=4: descent diagnostics are not finite at zero duals",
+             ("forward", "--n", "0", "--d", "2"): "n must be an integer >= 1, got 0",
+             ("gd", "--d", "2", "--n", "0"): "n must be an integer >= 1, got 0",
+             ("sinkhorn", "--d", "2", "--n", "0"): "n must be an integer >= 1, got 0",
+             ("sinkhorn", "--tol", "inf", "--d", "2", "--n", "6", "--lambda", "0.1"):
+                 "tol must be positive and finite, got inf"}
     assert named.get(tuple(argv), "") in err
 
 

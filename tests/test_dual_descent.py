@@ -155,6 +155,13 @@ def test_schedule_rejects_bad_parameters():
         dd.radius_stepsize(4, 1e6, 0.005)
 
 
+@pytest.mark.parametrize("u, v", [(np.zeros(3), np.zeros(2)), (np.zeros((2, 3)), np.zeros(3)), (0.0, 0.0)],
+                         ids=["3-vs-2", "stack-vs-one", "scalars"])
+def test_dual_iterate_takes_two_arrays_of_one_shape(u, v):
+    with pytest.raises(ValueError, match=r"^u and v must be arrays of equal shape \(\.\.\., n\)$"):
+        dd.DualIterate(u=u, v=v)
+
+
 @pytest.mark.parametrize("C", [np.zeros(3), np.zeros((2, 3)), np.zeros((1, 3, 3)), np.zeros((0, 0))],
                          ids=["1-D", "2x3", "stack", "empty"])
 def test_descent_and_kernel_take_one_square_cost(C):

@@ -30,6 +30,13 @@ def test_matrix_csv_rejects_garbage(tmp_path):
         read_matrix_csv(path)
 
 
+def test_matrix_csv_rejects_dimensions_its_data_does_not_have(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("rows,cols\n2,3\n1.0,2.0\n3.0,4.0\n")
+    with pytest.raises(ValueError, match="^matrix CSV dimensions do not match its data$"):
+        read_matrix_csv(path)
+
+
 def test_matrix_csv_deterministic_bytes(tmp_path):
     A = np.array([[1.0 / 3.0, 2.0 / 7.0]])
     write_matrix_csv(A, tmp_path / "x.csv")

@@ -6,6 +6,7 @@ from otlab.problem import (
     cost_factors,
     cost_matrix,
     permutation_instance,
+    seeded_instance,
     seeded_permutation,
     sorting_instance,
     uniform_instance,
@@ -129,6 +130,23 @@ def test_permutation_instance_keeps_the_bits_of_its_own_grid():
             want_x = grid[seeded_permutation(n, seed)]
             assert inst.x.tobytes() == want_x[:, None].tobytes() and inst.y.tobytes() == grid[:, None].tobytes()
             assert inst.x.shape == inst.y.shape == (n, 1) and inst.lam == 0.05
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: permutation_instance(n, 0, 1.0),  # True built a 1-point instance
+        lambda n: uniform_instance(np.random.default_rng(0), n, 2, 1.0),  # 0 named the internal (0, 2) arrays
+        lambda n: seeded_instance(n, 1, 0, 1.0),
+        lambda n: seeded_instance(n, 2, 0, 1.0),
+    ],
+    ids=["permutation", "uniform", "seeded-d1", "seeded-d2"],
+)
+@pytest.mark.parametrize("n", [0, -1, True, 2.0])
+def test_instance_makers_refuse_n_through_one_gate(make, n):
+    with pytest.raises(ValueError) as err:
+        make(n)
+    assert str(err.value) == f"n must be an integer >= 1, got {n!r}"
 
 
 def test_sorting_instance_targets_sorted_grid():

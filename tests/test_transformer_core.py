@@ -456,6 +456,11 @@ def test_apply_plan_rejects_non_finite_plan():
             apply_plan(np.array([[bad, 1.0], [1.0, 1.0]]), np.array([0.0, 1.0]))
 
 
+def test_apply_plan_rejects_x_of_another_length():
+    with pytest.raises(ValueError, match=r"^pattern columns must match len\(x\)$"):
+        apply_plan(np.eye(2), np.zeros(3))
+
+
 def test_apply_plan_rejects_zero_row():
     with pytest.raises(DegeneratePlanError):
         apply_plan(np.array([[0.0, 0.0], [0.5, 0.5]]), np.array([1.0, 2.0]))
