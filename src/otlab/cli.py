@@ -52,24 +52,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _at_least(lo: int):
-    """argparse type: an integer no smaller than lo."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
-        return value
-
-    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
-    return parse
-
-
 def _comma_list(kind):
-    """argparse type: comma-separated values of `kind`; empty items are skipped."""
+    """argparse type: comma-separated values of `kind`, at least one; empty items are skipped."""
 
     def parse(text: str) -> list:
-        return [kind(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
+        return values
 
     parse.__name__ = f"comma-separated {kind.__name__}"
     return parse
@@ -77,11 +67,11 @@ def _comma_list(kind):
 
 # flags shared by several commands, each declared once with its type and default
 _SHARED = {
-    "d": dict(type=_at_least(1), default=1, help="point dimension (d > 1 samples uniform points)"),
+    "d": dict(type=int, default=1, help="point dimension (d > 1 samples uniform points)"),
     "lambda": dict(type=float, default=0.005, help="entropic regularization weight"),
     "gamma": dict(type=float, default=0.01, help="descent stepsize"),
     "depth": dict(type=int, default=2000, help="number of layers / steps"),
-    "seed": dict(type=_at_least(0), default=0, help="instance seed"),
+    "seed": dict(type=int, default=0, help="instance seed"),
     "out": dict(type=lambda text: Path(text) if text else None,  # an empty --out writes nothing
                 help="output directory (omit to skip artifacts)"),
 }
@@ -98,7 +88,8 @@ def _command(commands, name: str, func, help: str, *shared: str) -> _Parser:
 
 def _parse(parser: _Parser, commands, argv: list[str] | None) -> argparse.Namespace:
     """Parse argv. A --config file's lines are parsed as the command's own
-    flags and become its defaults, so explicit flags win wherever they stand."""
+    flags placed ahead of argv's, so explicit flags win wherever they stand."""
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
     if args.config is None:
         return args
@@ -117,12 +108,11 @@ def _parse(parser: _Parser, commands, argv: list[str] | None) -> argparse.Namesp
             tokens.append(flag)
         elif value.lower() not in ("0", "false"):
             raise ValueError(f"{args.config}: {key} takes 1, true, 0 or false, got {value!r}")
-    try:
-        file_args = sub.parse_args(tokens)
+    at = argv.index(args.command) + 1
+    try:  # argv parsed cleanly above, so an error here is the file's
+        return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
-    sub.set_defaults(**{key: getattr(file_args, key) for key in cfg})
-    return parser.parse_args(argv)
 
 
 # bench/workloads.py:180 still reads this name; the next benchmark change drops it
@@ -150,15 +140,11 @@ def _export(matrix: np.ndarray, out: Path, stem: str) -> list[str]:
 
 def _cmd_forward(args: argparse.Namespace) -> int:
     ns = list(dict.fromkeys(args.n))  # each size once, in first-seen order
-    if not ns:
-        raise ValueError("forward needs at least one n")
     d, lam, depth, out = args.d, getattr(args, "lambda"), args.depth, args.out
     if args.checkpoints is None:
         marks = sorted({k for k in (1, 300, 600, depth) if 0 < k <= depth} or {0})
     else:
         marks = sorted(set(args.checkpoints))
-        if not marks:
-            raise ValueError("forward needs at least one checkpoint")
 
     weights = build_constructed_weights(d, lam, args.gamma)
     outputs: list[str] = []
@@ -195,8 +181,6 @@ def _cmd_forward(args: argparse.Namespace) -> int:
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
-    if not args.x:
-        raise ValueError("sort needs at least one value: --x v1,v2,...")
     x, lam, depth = np.array(args.x), getattr(args, "lambda"), args.depth
     inst = sorting_instance(x, lam)
     weights = build_constructed_weights(inst.d, lam, args.gamma)
@@ -271,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = _command(commands, "sort", _cmd_sort, "sort values with the attention solver",
                  "lambda", "gamma", "depth", "out")
-    p.add_argument("--x", type=_comma_list(float), help="comma-separated values to sort")
+    p.add_argument("--x", type=_comma_list(float), required=True, help="comma-separated values to sort")
 
     p = _command(commands, "gd", _cmd_gd, "run the descent engine directly",
                  "d", "lambda", "gamma", "depth", "seed", "out")

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .logdomain import ball, integer_at_least, log_kernel, lse, positive_finite, square_matrix
+from .logdomain import ball, exp_or_inf, integer_at_least, log_kernel, lse, positive_finite, square_matrix
 
 
 class DivergenceError(ArithmeticError):
@@ -187,7 +187,7 @@ def smoothness_bound(n: int, r: float, lam: float) -> float:
     factor can exceed it and the matched stepsize loses its descent guarantee.
     """
     ball(n, r, lam)
-    return (n + 2) * np.exp(2.0 * r / lam)
+    return (n + 2) * exp_or_inf(2.0 * r / lam)
 
 
 def hessian(C: np.ndarray, it: DualIterate, lam: float) -> np.ndarray:
@@ -207,7 +207,7 @@ def min_grad_bound(n: int, r: float, lam: float, depth: int) -> float:
     to radius r with the radius-matched stepsize."""
     integer_at_least("depth", depth, 1)
     # smoothness_bound, evaluated first, gates (n, r, lam)
-    return smoothness_bound(n, r, lam) * (n * np.exp(r / lam) + 1.0) * r / depth
+    return smoothness_bound(n, r, lam) * (n * exp_or_inf(r / lam) + 1.0) * r / depth
 
 
 def best_marginal_eps(n: int, r: float, lam: float, depth: int) -> float:
@@ -215,4 +215,4 @@ def best_marginal_eps(n: int, r: float, lam: float, depth: int) -> float:
     eps of 1/n: eps^2 = 3 n e^{3r/lam} r / depth."""
     ball(n, r, lam)
     integer_at_least("depth", depth, 1)
-    return float(np.sqrt(3.0 * n * np.exp(3.0 * r / lam) * r / depth))
+    return float(np.sqrt(3.0 * n * exp_or_inf(3.0 * r / lam) * r / depth))

@@ -44,6 +44,12 @@ def ball(n, r, lam) -> None:
     positive_finite("lam", lam)
 
 
+def exp_or_inf(x) -> float:
+    """e^x as a float, bit for bit np.exp's, and inf past the float range without an overflow warning."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(x))
+
+
 def lse(a: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(a), axis)), shifted by the max; entries must be finite."""
     m = np.maximum.reduce(a, axis=axis, keepdims=True)

@@ -71,6 +71,7 @@ def cost_factors(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
 def uniform_instance(rng: np.random.Generator, n: int, d: int, lam: float) -> ProblemInstance:
     """Instance with x, then y, drawn uniformly from [0, 1)^(n, d) by rng."""
     integer_at_least("n", n, 1)
+    integer_at_least("d", d, 1)
     return ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam)
 
 
@@ -91,6 +92,7 @@ def seeded_permutation(n: int, seed: int) -> list[int]:
     for n <= 64 and accepted for the sake of a portable, exactly specified
     stream.
     """
+    integer_at_least("seed", seed, 0)
     perm = list(range(n))
     state = seed & _MASK64
     for i in range(n - 1, 0, -1):
@@ -113,6 +115,8 @@ def permutation_instance(n: int, seed: int, lam: float = 0.005) -> ProblemInstan
 def seeded_instance(n: int, d: int, seed: int, lam: float) -> ProblemInstance:
     """The instance a seed names: `permutation_instance` for d = 1, and
     `uniform_instance` drawn by default_rng(seed) otherwise."""
+    integer_at_least("d", d, 1)
+    integer_at_least("seed", seed, 0)
     if d == 1:
         return permutation_instance(n, seed, lam)
     return uniform_instance(np.random.default_rng(seed), n, d, lam)

@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from .logdomain import ball, integer_at_least, lse, marginal_error, positive_finite, square_matrices, square_matrix
+from .logdomain import (ball, exp_or_inf, integer_at_least, lse, marginal_error, positive_finite, square_matrices,
+                        square_matrix)
 
 
 class SinkhornError(RuntimeError):
@@ -214,7 +215,7 @@ def scaling_bound_depth(n: int, r: float, lam: float) -> float:
     """The depth 64 n^3 e^{3r/lam} r from which scaling_convergence_bound
     applies; inf once the exponential overflows."""
     ball(n, r, lam)
-    return float(64.0 * n**3 * np.exp(3.0 * r / lam) * r)
+    return float(64.0 * n**3 * exp_or_inf(3.0 * r / lam) * r)
 
 
 def scaling_convergence_bound(n: int, r: float, lam: float, eta: float, depth: int) -> float:
@@ -228,7 +229,7 @@ def scaling_convergence_bound(n: int, r: float, lam: float, eta: float, depth: i
     needed = scaling_bound_depth(n, r, lam)
     if depth < needed:
         raise ValueError(f"depth {depth} below the bound's precondition {needed:.3g}")
-    return float(36.0 * n**1.5 * np.exp(r / lam) * np.sqrt(r) / (np.sqrt(depth) * (1.0 - eta)))
+    return float(36.0 * n**1.5 * exp_or_inf(r / lam) * np.sqrt(r) / (np.sqrt(depth) * (1.0 - eta)))
 
 
 # ---------------------------------------------------------------------------

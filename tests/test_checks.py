@@ -55,6 +55,18 @@ def test_equivalence_metrics_report_worst_case():
     assert 0.0 <= res.metrics["max_deviation"] <= 1e-8
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+def test_run_all_refuses_a_bad_seed_before_any_suite(seed, monkeypatch):
+    calls = []
+    for name in ("check_gd_equivalence", "check_gradients", "check_closure", "check_shift",
+                 "check_contraction", "check_stationarity", "check_depth_bound"):
+        monkeypatch.setattr(checks, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+    with pytest.raises(ValueError) as err:
+        checks.run_all(seed=seed)
+    assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
+    assert calls == []  # at -1 the equivalence suite ran before check_gradients' rng refused it
+
+
 def test_equivalence_runs_each_group_as_one_stacked_pass(monkeypatch):
     """The 60 default runs go as 12 (lam, d, n) groups of 5 seeds: 12 forward
     passes of 50 stacked layers, where one pass per run made 60 and 3,000.

@@ -134,7 +134,7 @@ def test_forward_runs_each_size_once(tmp_path, capsys):
     assert len(outputs) == len(set(outputs)) == 9  # A_0005 and Pstar as .csv and .pgm per n, weights.json
     # an empty size list is a usage error before anything is written, even with --out
     assert main(["forward", "--n", ",", "--out", str(tmp_path / "none")]) == 1
-    assert capsys.readouterr().err == "otlab: forward needs at least one n\n"
+    assert capsys.readouterr().err == "otlab: argument --n: needs at least one value, got ','\n"
     assert not (tmp_path / "none").exists()
 
 
@@ -213,8 +213,13 @@ def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("otlab: ")
     assert not caught
-    named = {("gd", "--d", "0"): "--d", ("sinkhorn", "--d", "0"): "--d", ("verify", "--seed", "-1"): "--seed",
-             ("sort", "--x", ","): "sort needs at least one value",
+    named = {("gd", "--d", "0"): "d must be an integer >= 1, got 0",
+             ("sinkhorn", "--d", "0"): "d must be an integer >= 1, got 0",
+             ("verify", "--seed", "-1"): "seed must be an integer >= 0, got -1",
+             ("sort", "--x", ","): "argument --x: needs at least one value, got ','",
+             ("forward", "--n", ","): "argument --n: needs at least one value, got ','",
+             ("forward", "--checkpoints", ","): "argument --checkpoints: needs at least one value, got ','",
+             ("sort",): "the following arguments are required: --x",
              ("gd", "--gamma", "-1e-3"): "gamma must be positive and finite",
              ("sort", "--x", "-0.5,1"): "values to sort must lie in [0, 1]",
              ("forward", "--lambda", "1e-309", "--depth", "3"): "constructed weights are not finite",
@@ -225,6 +230,30 @@ def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
              ("sinkhorn", "--tol", "inf", "--d", "2", "--n", "6", "--lambda", "0.1"):
                  "tol must be positive and finite, got inf"}
     assert named.get(tuple(argv), "") in err
+
+
+# d and seed are refused by the library that takes them, before anything is written; the command
+# line refused them itself as "argument --d: must be >= 1, got 0"
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["forward", "--d", "0"], "d must be an integer >= 1, got 0"),
+        (["gd", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["sinkhorn", "--d", "2", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["verify", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["gd", "--config", "d=0"], "d must be an integer >= 1, got 0"),
+        (["verify", "--config", "seed=-1"], "seed must be an integer >= 0, got -1"),
+    ],
+)
+def test_refused_d_and_seed_write_nothing(argv, line, tmp_path, capsys):
+    if argv[1] == "--config":  # the file's one line stands in argv's place
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(argv[2] + "\n")
+        argv = [argv[0], "--config", str(cfg)]
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"otlab: {line}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -495,11 +524,25 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
     cfg.write_text("quick=true\nflip_sign=1\nseed=1\n")
     assert main(["verify", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == ""
-    for line in ("seed=-1", "quick=yes"):
+    # a value the flag's type cannot parse names the file; a seed below 0 is the library's to refuse
+    for line in ("seed=1.5", "quick=yes"):
         cfg.write_text(line + "\n")
         assert main(["verify", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"otlab: {cfg}: ")
+
+
+def test_config_flags_sit_ahead_of_the_command_line(tmp_path, capsys):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "run"
+    # the command line's --x wins over the file's, and a file without x leaves the required --x to it
+    for text in ("depth=50\nx=0.9\n", "depth=50\n"):
+        cfg.write_text(text)
+        assert main(["sort", "--x", "0.6,0.1", "--config", str(cfg), "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["x"], config["depth"]) == ([0.6, 0.1], 50)
+    cfg.write_text("x=,\n")
+    assert main(["sort", "--x", "0.6,0.1", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"otlab: {cfg}: argument --x: needs at least one value, got ','\n"
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):

@@ -5,6 +5,7 @@ the same gate, so each refusal reads the same wherever it is raised."""
 import ast
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -158,6 +159,36 @@ def test_depth_bounds_take_an_integer_depth_of_at_least_one(bound, depth):
     assert _refusal(lambda: BOUNDS[bound](depth=depth)) == f"depth must be an integer >= 1, got {depth!r}"
 
 
+# past the float range each exponential leaked "overflow encountered in exp" (pytest makes it an
+# error); min_grad_bound at r = 300 overflowed in a product of two finite exponentials instead
+@pytest.mark.parametrize(
+    "bound",
+    [
+        lambda: dd.smoothness_bound(3, 1e3, 1.0),
+        lambda: dd.min_grad_bound(3, 1e3, 1.0, 10),
+        lambda: dd.min_grad_bound(3, 300.0, 1.0, 10),
+        lambda: dd.best_marginal_eps(3, 1e3, 1.0, 10),
+        lambda: sl.scaling_bound_depth(3, 1e3, 1.0),
+    ],
+    ids=["smoothness_bound", "min_grad_bound", "min_grad_bound-product", "best_marginal_eps", "scaling_bound_depth"],
+)
+def test_bounds_read_inf_past_the_float_range(bound):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bound() == math.inf
+
+
+def test_convergence_bound_past_the_float_range_asks_for_infinite_depth():
+    # its precondition is scaling_bound_depth, which reads inf first
+    assert _refusal(lambda: sl.scaling_convergence_bound(3, 1e3, 1.0, 0.5, 10**6)) == \
+        "depth 1000000 below the bound's precondition inf"
+
+
+@pytest.mark.parametrize("x", [-800.0, -1.0, 0.0, 0.3, 2.0 / 0.7, 709.0])
+def test_exp_or_inf_keeps_the_bits_of_np_exp_inside_the_range(x):
+    assert logdomain.exp_or_inf(x) == np.exp(x) and type(logdomain.exp_or_inf(x)) is float
+
+
 _PLAN_READERS = {"round_plan": oracles.round_plan, "apply_plan": lambda P: tc.apply_plan(P, np.zeros(2))}
 
 
@@ -192,6 +223,8 @@ def test_apply_plan_takes_one_square_plan(A):
 # finite", an array rule that no gate covers
 GATE_TEXTS = ["must be positive and finite, got", "must be an integer >=", "radius must be nonnegative",
               "plan entries must be", "non-empty square matrix"]
+# an integer bound in any wording: the command line refused --d and --seed as "must be >= 1, got 0"
+INTEGER_BOUND = re.compile(r"must be (an integer )?>=")
 
 
 def _strings(path) -> list[str]:
@@ -213,7 +246,7 @@ def test_each_gate_text_is_written_in_logdomain_only():
     for text in GATE_TEXTS:
         assert any(text in s for s in gate_strings), f"no gate in logdomain writes {text!r}"
     copies = [f"{path.name}: {s!r}" for path in sorted(package.glob("*.py")) if path.name != "logdomain.py"
-              for s in _strings(path) if any(text in s for text in GATE_TEXTS)]
+              for s in _strings(path) if any(text in s for text in GATE_TEXTS) or INTEGER_BOUND.search(s)]
     assert not copies
 
 

@@ -149,6 +149,40 @@ def test_instance_makers_refuse_n_through_one_gate(make, n):
     assert str(err.value) == f"n must be an integer >= 1, got {n!r}"
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda d: uniform_instance(np.random.default_rng(0), 4, d, 1.0),
+        # True built a d = 1 permutation instance, 1.5 raised numpy's TypeError
+        lambda d: seeded_instance(4, d, 0, 1.0),
+    ],
+    ids=["uniform", "seeded"],
+)
+@pytest.mark.parametrize("d", [0, -1, 1.5, True])
+def test_instance_makers_refuse_d_through_one_gate(make, d):
+    with pytest.raises(ValueError) as err:
+        make(d)
+    assert str(err.value) == f"d must be an integer >= 1, got {d!r}"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: seeded_permutation(4, seed),
+        # -1 was masked to the instance of seed 2**64 - 1
+        lambda seed: permutation_instance(4, seed, 1.0),
+        lambda seed: seeded_instance(4, 1, seed, 1.0),
+        lambda seed: seeded_instance(4, 2, seed, 1.0),
+    ],
+    ids=["permutation", "permutation-instance", "seeded-d1", "seeded-d2"],
+)
+@pytest.mark.parametrize("seed", [-1, True])
+def test_instance_makers_refuse_seed_through_one_gate(make, seed):
+    with pytest.raises(ValueError) as err:
+        make(seed)
+    assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
+
+
 def test_sorting_instance_targets_sorted_grid():
     inst = sorting_instance([0.5, 0.75, 0.25, 0.0], lam=0.01)
     np.testing.assert_array_equal(inst.x.ravel(), [0.5, 0.75, 0.25, 0.0])
