@@ -12,7 +12,7 @@ import numpy as np
 
 from . import dual_descent as dd
 from . import sinkhorn_lab as sl
-from .logdomain import integer_at_least
+from .logdomain import seed64
 from .oracles import finite_diff_grad
 from .problem import (ProblemInstance, cost_matrix, permutation_instance, seeded_instance, sorting_instance,
                       uniform_instance)
@@ -249,7 +249,7 @@ def check_depth_bound(seed: int = 0) -> CheckResult:
 
 
 def run_all(seed: int = 0, quick: bool = False, flip_sign: bool = False) -> list[CheckResult]:
-    integer_at_least("seed", seed, 0)
+    seed64(seed)
     trials = 200 if quick else 1000
     return [
         check_gd_equivalence(n_seeds=2 if quick else 5, flip_sign=flip_sign),

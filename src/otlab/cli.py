@@ -154,7 +154,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
         inst = seeded_instance(n, d, args.seed, lam)
         C = cost_matrix(inst)
         trace = forward(inst, depth, weights, checkpoints=marks, observe=divergence_guard(C, lam))
-        ref = sl.sinkhorn_solve(sl.gibbs_kernel(C, lam))
+        ref = sl.newton_solve(sl.gibbs_kernel(C, lam))
         prefix = "" if len(ns) == 1 else f"n{n}_"
         per_layer = {}
         for k in marks:

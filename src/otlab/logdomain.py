@@ -36,6 +36,14 @@ def integer_at_least(name: str, value, lo: int) -> None:
         raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
+def seed64(seed) -> None:
+    """Refuse a seed outside [0, 2**64): SplitMix64 keeps 64 bits, so a larger
+    seed would name a smaller one's instance."""
+    integer_at_least("seed", seed, 0)
+    if seed >= 2**64:
+        raise ValueError(f"seed must be below 2**64, got {seed!r}")
+
+
 def ball(n, r, lam) -> None:
     """Refuse (n, r, lam) outside the bounds' domain: n >= 1 points, radius r >= 0, lam positive and finite."""
     integer_at_least("n", n, 1)

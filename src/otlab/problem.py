@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 
-from .logdomain import integer_at_least, positive_finite
+from .logdomain import integer_at_least, positive_finite, seed64
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -92,9 +92,9 @@ def seeded_permutation(n: int, seed: int) -> list[int]:
     for n <= 64 and accepted for the sake of a portable, exactly specified
     stream.
     """
-    integer_at_least("seed", seed, 0)
+    seed64(seed)
     perm = list(range(n))
-    state = seed & _MASK64
+    state = int(seed)
     for i in range(n - 1, 0, -1):
         state, z = _splitmix64(state)
         j = z % (i + 1)
@@ -116,7 +116,7 @@ def seeded_instance(n: int, d: int, seed: int, lam: float) -> ProblemInstance:
     """The instance a seed names: `permutation_instance` for d = 1, and
     `uniform_instance` drawn by default_rng(seed) otherwise."""
     integer_at_least("d", d, 1)
-    integer_at_least("seed", seed, 0)
+    seed64(seed)
     if d == 1:
         return permutation_instance(n, seed, lam)
     return uniform_instance(np.random.default_rng(seed), n, d, lam)

@@ -163,34 +163,158 @@ def sinkhorn_solve(gk: GibbsKernel, tol: float | None = None, max_sweeps: int = 
     right after the row step; the arrays are never reused, so it may keep them.
     """
     integer_at_least("max_sweeps", max_sweeps, 1)
-    if tol is None:
-        tol = 1e-12 if gk.lam >= 0.05 else 1e-8
-    positive_finite("tol", tol)
+    tol = _tolerance(gk, tol)
     n = gk.n
     logw = np.zeros(n)
     if observe is not None:
         observe(0, logw, np.zeros(n))
     log_n = np.log(n)
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN sweep error is reported below
-        logq = -(log_n + lse(gk.logQ + logw[:, None], 0))
+        logq = _half_step(gk.logQ, log_n, logw, 0)
         for sweep in range(1, max_sweeps + 1):
-            logw = -(log_n + lse(gk.logQ + logq, 1))
+            logw = _half_step(gk.logQ, log_n, logq, 1)
             if observe is not None:
                 observe(sweep, logw, logq)
-            next_logq = -(log_n + lse(gk.logQ + logw[:, None], 0))
+            next_logq = _half_step(gk.logQ, log_n, logw, 0)
             eps = float(np.abs(np.expm1(logq - next_logq)).max()) / n
             if math.isnan(eps):
                 raise SinkhornError(f"marginal error is nan at sweep {sweep}", eps_star=eps)
             if eps <= tol:
-                P = np.exp(gk.logQ + logw[:, None] + logq[None, :])
+                P = _plan(gk.logQ, logw, logq)
                 eps = marginal_error(P)
                 if eps <= tol:
-                    # (w c, q / c) scale to one plan; balanced in log units, nothing overflows
-                    c = (logq.mean() - logw.mean()) / 2.0
-                    return SinkhornResult(u=gk.lam * (logw + c), v=gk.lam * (logq - c), plan=P, eps_star=eps,
-                                          sweeps=sweep)
+                    return _balanced(gk, logw, logq, P, eps, sweep)
             logq = next_logq
     raise SinkhornError(f"no convergence to {tol} within {max_sweeps} sweeps (reached {eps})", eps_star=float(eps))
+
+
+def _half_step(logQ: np.ndarray, log_n: float, x: np.ndarray, axis: int) -> np.ndarray:
+    # the log scaling that brings the sums along axis to 1/n, given x, the other one
+    return -(log_n + lse(logQ + (x[:, None] if axis == 0 else x), axis))
+
+
+def _tolerance(gk: GibbsKernel, tol: float | None) -> float:
+    # the default tol rule both solvers document, and its gate
+    if tol is None:
+        tol = 1e-12 if gk.lam >= 0.05 else 1e-8
+    positive_finite("tol", tol)
+    return tol
+
+
+def _balanced(gk: GibbsKernel, logw: np.ndarray, logq: np.ndarray, P: np.ndarray, eps: float,
+              sweeps: int) -> SinkhornResult:
+    # (w c, q / c) scale to one plan; balanced in log units, nothing overflows
+    c = (logq.mean() - logw.mean()) / 2.0
+    return SinkhornResult(u=gk.lam * (logw + c), v=gk.lam * (logq - c), plan=P, eps_star=eps, sweeps=sweeps)
+
+
+_WARM_SWEEPS = 10
+_NEWTON_STEPS = 1000
+_HALVINGS = 40
+_MAX_SHIFT = 50.0
+
+
+def newton_solve(gk: GibbsKernel) -> SinkhornResult:
+    """The fixed point of `sinkhorn_solve`, by Sinkhorn-Newton (Brauer,
+    Clason, Lorenz & Wirth, arXiv:1710.06635) on the dual in log scalings.
+
+    With P = diag(w) Q diag(q), r = P 1 and c = P^T 1, the dual
+    F(log w, log q) = sum(P) - (sum(log w) + sum(log q))/n is convex, its
+    gradient is (r - 1/n, c - 1/n) and its Hessian H = [[diag(r), P],
+    [P^T, diag(c)]]. After a few plain sweeps, each step solves H d = -g by
+    conjugate gradients preconditioned with diag(r, c): a product with H is
+    one with P and one with P^T, so no 2n x 2n matrix is formed and memory
+    stays O(n^2). H is singular along the gauge direction (1, -1), which
+    leaves the plan unchanged; preconditioned CG from zero is plain CG on
+    diag^-1/2 H diag^-1/2 from zero, whose iterates stay in that matrix's
+    range, so the singular direction causes no breakdown. The iteration
+    count is capped at 2n and stops once the residual is within
+    min(1/2, sqrt|g|) of |g|. Where kernel entries underflow H is nearly
+    singular and that step can be 1e15 long, so a step first moves no log
+    scaling by more than 50. It is then halved until the dual decreases by a
+    fraction of the predicted decrease, or until the marginal error halves:
+    near 1e-12 the dual's differences sink into its rounding, while the
+    error still reads.
+
+    Solves to `sinkhorn_solve`'s default tol, with the same balanced-gauge
+    result and a plan that passes the same dense check. `sweeps` counts the plain
+    sweeps plus the Newton steps. Raises SinkhornError (with the achieved
+    error) when the error is NaN after the plain sweeps, when no halving is
+    accepted, or after 1000 Newton steps; it never falls back to sweeping.
+    """
+    tol = _tolerance(gk, None)
+    n, logQ = gk.n, gk.logQ
+    log_n = np.log(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # NaN and inf are refused below
+        logw = np.zeros(n)
+        for _ in range(_WARM_SWEEPS):
+            logq = _half_step(logQ, log_n, logw, 0)
+            logw = _half_step(logQ, log_n, logq, 1)
+        P, spare = _plan(logQ, logw, logq), np.empty_like(logQ)
+        eps = marginal_error(P)
+        if math.isnan(eps):
+            raise SinkhornError(f"marginal error is nan after {_WARM_SWEEPS} sweeps", eps_star=eps)
+        steps = 0
+        while eps > tol:
+            if steps == _NEWTON_STEPS:
+                raise SinkhornError(f"no convergence to {tol} within {steps} Newton steps (reached {eps})",
+                                    eps_star=eps)
+            steps += 1
+            sums = np.concatenate([P.sum(axis=1), P.sum(axis=0)])
+            g = sums - 1.0 / n
+            d = _cg(P, sums, g)
+            slope, shift, total = g @ d, d.sum() / n, sums[:n].sum()
+            t = min(1.0, _MAX_SHIFT / np.abs(d).max())
+            for _ in range(_HALVINGS):
+                trial_w, trial_q = logw + t * d[:n], logq + t * d[n:]
+                trial = _plan(logQ, trial_w, trial_q, spare)
+                trial_eps = marginal_error(trial)
+                # F(trial) - F: the change in sum(P), less t times the linear term's
+                decrease = (trial.sum() - total) - t * shift
+                if decrease <= 1e-4 * t * slope or trial_eps <= eps / 2:
+                    break
+                t /= 2
+            else:
+                raise SinkhornError(f"Newton step {steps} found no decrease (reached {eps})", eps_star=eps)
+            logw, logq, eps = trial_w, trial_q, trial_eps
+            P, spare = trial, P
+    return _balanced(gk, logw, logq, P, eps, _WARM_SWEEPS + steps)
+
+
+def _plan(logQ: np.ndarray, logw: np.ndarray, logq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # exp(logQ + log w 1^T + 1 log q^T), into out if given
+    out = np.add(logQ, logw[:, None], out=out)
+    out += logq
+    return np.exp(out, out=out)
+
+
+def _cg(P: np.ndarray, diag: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Approximately solve [[diag(r), P], [P^T, diag(c)]] d = -g, diag = (r, c),
+    by conjugate gradients preconditioned with diag, from d = 0."""
+    n = P.shape[0]
+    d = np.zeros(2 * n)
+    res = -g
+    z = res / diag
+    p = z
+    rz = res @ z
+    gg = g @ g
+    stop = min(0.25, math.sqrt(gg)) * gg  # |res|^2 against (min(1/2, sqrt|g|) |g|)^2
+    for _ in range(2 * n):
+        Hp = diag * p
+        Hp[:n] += P @ p[n:]
+        Hp[n:] += p[:n] @ P
+        pHp = p @ Hp
+        if not pHp > 0:
+            break
+        alpha = rz / pHp
+        d += alpha * p
+        res -= alpha * Hp
+        if res @ res <= stop:
+            break
+        z = res / diag
+        rz, rz_old = res @ z, rz
+        p = z + (rz / rz_old) * p
+    return d
 
 
 # ---------------------------------------------------------------------------

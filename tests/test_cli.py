@@ -30,6 +30,7 @@ from otlab import cli
 from otlab import transformer_core as tc
 from otlab.cli import main
 from otlab.io import read_matrix_csv
+from otlab.logdomain import marginal_error
 from otlab.problem import permutation_instance
 
 
@@ -243,6 +244,9 @@ def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
         (["verify", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
         (["gd", "--config", "d=0"], "d must be an integer >= 1, got 0"),
         (["verify", "--config", "seed=-1"], "seed must be an integer >= 0, got -1"),
+        # SplitMix64 masked the seed to 64 bits: this ran seed 0's instance
+        (["gd", "--seed", "18446744073709551616", "--n", "5", "--depth", "10", "--lambda", "0.5"],
+         "seed must be below 2**64, got 18446744073709551616"),
     ],
 )
 def test_refused_d_and_seed_write_nothing(argv, line, tmp_path, capsys):
@@ -320,8 +324,7 @@ def test_sort_zero_row_plan_exits_3(capsys):
         # `gd --n 100000 --depth 0` ended in a traceback from the cost matrix's allocation
         (cli, "cost_matrix", MemoryError("Unable to allocate 74.5 GiB"), ["gd", "--n", "100000", "--depth", "0"],
          1, "otlab: Unable to allocate 74.5 GiB\n"),
-        # the real budget (`forward --d 2 --n 8`) runs 100,000 sweeps in about 3 s
-        (cli.sl, "sinkhorn_solve", cli.sl.SinkhornError("no convergence", eps_star=1.6e-6), ["forward", "--depth", "5"],
+        (cli.sl, "newton_solve", cli.sl.SinkhornError("no convergence", eps_star=1.6e-6), ["forward", "--depth", "5"],
          3, "otlab: no convergence; the run did not converge\n"),
     ],
     ids=["allocation", "reference-solve"],
@@ -443,6 +446,16 @@ def test_sinkhorn_budget_exhaustion_exits_3(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("otlab: no convergence to 1e-12 within 40 sweeps")
     assert err.endswith("; the run did not converge\n")
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("n", ["4", "8"])
+def test_forward_reference_solves_where_sweeps_stall(n, tmp_path, capsys):
+    # sinkhorn_solve spent its 100,000 sweeps here and stopped near 2e-6, so forward exited 3
+    out = tmp_path / "run"
+    assert main(["forward", "--d", "2", "--n", n, "--depth", "50", "--lambda", "0.005", "--seed", "0",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert marginal_error(read_matrix_csv(out / "Pstar.csv")) <= 1e-8
 
 
 def test_sinkhorn_artifacts(tmp_path):

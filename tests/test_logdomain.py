@@ -221,8 +221,8 @@ def test_apply_plan_takes_one_square_plan(A):
 # each gate's refusal text; outside logdomain no string constant may hold one. The scalar gate's
 # text keeps its ", got": sinkhorn_lab's normalizers refuse sums that are not "positive and
 # finite", an array rule that no gate covers
-GATE_TEXTS = ["must be positive and finite, got", "must be an integer >=", "radius must be nonnegative",
-              "plan entries must be", "non-empty square matrix"]
+GATE_TEXTS = ["must be positive and finite, got", "must be an integer >=", "must be below 2**64",
+              "radius must be nonnegative", "plan entries must be", "non-empty square matrix"]
 # an integer bound in any wording: the command line refused --d and --seed as "must be >= 1, got 0"
 INTEGER_BOUND = re.compile(r"must be (an integer )?>=")
 

@@ -165,7 +165,7 @@ def test_instance_makers_refuse_d_through_one_gate(make, d):
     assert str(err.value) == f"d must be an integer >= 1, got {d!r}"
 
 
-@pytest.mark.parametrize(
+_SEED_MAKERS = pytest.mark.parametrize(
     "make",
     [
         lambda seed: seeded_permutation(4, seed),
@@ -176,11 +176,25 @@ def test_instance_makers_refuse_d_through_one_gate(make, d):
     ],
     ids=["permutation", "permutation-instance", "seeded-d1", "seeded-d2"],
 )
+
+
+@_SEED_MAKERS
 @pytest.mark.parametrize("seed", [-1, True])
 def test_instance_makers_refuse_seed_through_one_gate(make, seed):
     with pytest.raises(ValueError) as err:
         make(seed)
     assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
+
+
+@_SEED_MAKERS
+def test_one_seed_range_at_every_d(make):
+    # SplitMix64 masked its seed, so seeded_permutation(6, 2**64) was seed 0's shuffle; d = 2 took any size
+    make(2**64 - 1)
+    with pytest.raises(ValueError) as err:
+        make(2**64)
+    assert str(err.value) == "seed must be below 2**64, got 18446744073709551616"
+    with pytest.raises(ValueError, match=r"^seed must be below 2\*\*64"):
+        seeded_permutation(6, 2**64)
 
 
 def test_sorting_instance_targets_sorted_grid():

@@ -11,6 +11,7 @@ Hand-computed anchors:
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from scipy.special import logsumexp
 from otlab import checks
 from otlab import sinkhorn_lab as sl
 from otlab.logdomain import log_kernel, lse, marginal_error
-from otlab.problem import cost_matrix, permutation_instance, sorting_instance
+from otlab.problem import cost_matrix, permutation_instance, seeded_instance, sorting_instance
 
 positive_vectors = st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=6).map(np.array)
 
@@ -192,6 +193,88 @@ def test_sinkhorn_default_tolerance():
     gk = sl.gibbs_kernel(cost_matrix(permutation_instance(4, 0, 0.005)), 0.005)
     res = sl.sinkhorn_solve(gk)
     assert res.sweeps < 10 and res.eps_star <= 1e-8
+
+
+def _default_tol(lam):
+    return 1e-12 if lam >= 0.05 else 1e-8
+
+
+@pytest.mark.parametrize("lam", [0.005, 0.05, 0.5, 1.0])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 128])
+def test_newton_solve_reaches_sinkhorns_fixed_point(n, d, lam):
+    C = cost_matrix(seeded_instance(n, d, 0, lam))
+    gk = sl.gibbs_kernel(C, lam)
+    res = sl.newton_solve(gk)
+    tol = _default_tol(lam)
+    assert res.eps_star == marginal_error(res.plan) <= tol
+    np.testing.assert_allclose(np.exp(log_kernel(C, res.u, res.v, lam)), res.plan, rtol=1e-10)
+    assert res.u.mean() == pytest.approx(res.v.mean(), abs=1e-12)
+    # two plans within tol of the marginals; bound fixed at 100 tol before the first run (2.2 tol seen at
+    # n = 128). Past 2,000 sweeps (d = 2, lam = 0.005, n <= 16) sweeping takes 17,000-47,000 or fails near 2e-6
+    try:
+        ref = sl.sinkhorn_solve(gk, max_sweeps=2_000)
+    except sl.SinkhornError:
+        return
+    assert np.abs(res.plan - ref.plan).max() <= 100 * tol
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e9])
+def test_newton_solve_at_extreme_lam_returns_or_raises_without_warning(lam):
+    for n in (2, 5, 8):
+        for d in (1, 2):
+            gk = sl.gibbs_kernel(cost_matrix(seeded_instance(n, d, 0, lam)), lam)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    res = sl.newton_solve(gk)
+                except sl.SinkhornError as exc:
+                    assert exc.eps_star > _default_tol(lam)
+                    continue
+            assert res.eps_star == marginal_error(res.plan) <= _default_tol(lam)
+
+
+@pytest.mark.parametrize("n, d, seed, lam", [(8, 1, 2, 0.05), (8, 2, 1, 0.05), (16, 2, 3, 0.5)])
+def test_newton_solve_accepts_a_step_that_halves_the_error(n, d, seed, lam):
+    # near tol 1e-12 the dual's decrease is lost in its rounding; on the decrease test alone these
+    # stopped between 2.7e-12 and 2.5e-10
+    res = sl.newton_solve(sl.gibbs_kernel(cost_matrix(seeded_instance(n, d, seed, lam)), lam))
+    assert res.eps_star == marginal_error(res.plan) <= 1e-12
+
+
+def test_newton_solve_where_kernel_entries_underflow():
+    # 39 of the 64 plan entries are 0 and CG's steps reach 5e15; uncapped, 40 halvings never brought one
+    # back in range and the solve stopped at 0.096. Sweeping stalls at 1.6e-6
+    gk = sl.gibbs_kernel(cost_matrix(seeded_instance(8, 2, 0, 1e-4)), 1e-4)
+    res = sl.newton_solve(gk)
+    assert res.eps_star == marginal_error(res.plan) <= 1e-8
+
+
+def test_newton_solve_keeps_memory_quadratic():
+    # no dense 2n x 2n Hessian (32 n^2 bytes) and no LAPACK workspace: the plan, one trial plan and vectors
+    n = 256
+    gk = sl.gibbs_kernel(cost_matrix(seeded_instance(n, 2, 0, 0.005)), 0.005)
+    tracemalloc.start()
+    try:
+        sl.newton_solve(gk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n * 8
+
+
+def test_newton_solve_meets_the_default_tolerance():
+    for lam in (0.005, 0.5):
+        gk = sl.gibbs_kernel(cost_matrix(permutation_instance(3, 0, lam)), lam)
+        assert sl.newton_solve(gk).eps_star <= _default_tol(lam)
+
+
+def test_newton_solve_failure_carries_the_error_reached():
+    # at lam = 1e-300 the plan is a permutation that no finite scaling reaches
+    gk = sl.gibbs_kernel(cost_matrix(seeded_instance(8, 2, 0, 0.5)), 1e-300)
+    with pytest.raises(sl.SinkhornError) as exc:
+        sl.newton_solve(gk)
+    assert exc.value.eps_star > 1e-8 and str(exc.value).endswith(f"(reached {exc.value.eps_star})")
 
 
 def test_scaled_log_plan_is_descent_kernel():
