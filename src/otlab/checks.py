@@ -40,10 +40,13 @@ def _flip_first_value_sign(weights: LayerWeights) -> LayerWeights:
     return dataclasses.replace(weights, Wvs=Wvs)
 
 
-def _forward_deviation(insts: list[ProblemInstance], depth: int, weights: LayerWeights) -> float:
+def _forward_deviation(insts: list[ProblemInstance], depth: int, weights: LayerWeights, lam: float,
+                       gamma: float) -> float:
     """max |duals(layer ell) - iterate ell| over ell = 1..depth and the
     instances, which share n and d and run as one stacked pass; each layer is
-    compared with one stacked gd_step as the pass makes it."""
+    compared with one stacked gd_step at (lam, gamma) as the pass makes it.
+    The oracle's parameters come from the caller, never from the weights
+    under test."""
     C = np.stack([cost_matrix(inst) for inst in insts])
     it = dd.zero_iterate(C.shape[:-1])
     worst = 0.0
@@ -51,7 +54,7 @@ def _forward_deviation(insts: list[ProblemInstance], depth: int, weights: LayerW
     def compare(ell, state):
         nonlocal it, worst
         if ell:
-            it = dd.gd_step(C, it, weights.lam, weights.gamma)
+            it = dd.gd_step(C, it, lam, gamma)
             u, v = read_dual(state)
             worst = max(worst, np.abs(u - it.u).max(), np.abs(v - it.v).max())
 
@@ -76,7 +79,7 @@ def check_gd_equivalence(n_seeds: int = 5, flip_sign: bool = False) -> CheckResu
                 draws = [np.random.default_rng((seed, n, d, int(lam * 1000))) for seed in range(n_seeds)]
                 insts = [seeded_instance(n, d, int(rng.integers(0, 2**32)), lam) for rng in draws]
                 if insts:
-                    worst = max(worst, _forward_deviation(insts, depth, weights))
+                    worst = max(worst, _forward_deviation(insts, depth, weights, lam, gamma))
                 cases += len(insts)
     return _verdict(
         "gd_equivalence", cases, worst <= tol,

@@ -1,4 +1,4 @@
-"""Deterministic file formats: matrix CSV, 8-bit PGM heatmaps, JSON manifests,
+"""Deterministic file formats: matrix CSV, 8-bit PGM heatmaps, JSON records
 and flat key=value config files."""
 
 from __future__ import annotations
@@ -20,18 +20,6 @@ def write_matrix_csv(A: np.ndarray, path) -> None:
         fh.write(f"{A.shape[0]},{A.shape[1]}\n")
         for row in A:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "rows,cols":
-            raise ValueError(f"bad matrix CSV header {header!r}")
-        rows, cols = (int(t) for t in fh.readline().split(","))
-        A = np.array([[float(t) for t in fh.readline().split(",")] for _ in range(rows)])
-    if A.shape != (rows, cols):
-        raise ValueError("matrix CSV dimensions do not match its data")
-    return A
 
 
 def write_pgm(A: np.ndarray, path) -> None:

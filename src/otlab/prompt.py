@@ -37,6 +37,11 @@ def width(d: int) -> int:
     return 2 * d + 8
 
 
+def is_width(w: int) -> bool:
+    """Whether w is width(d) for some d >= 1: even and at least width(1) = 10."""
+    return w >= width(1) and w % 2 == 0
+
+
 @dataclasses.dataclass(frozen=True)
 class HiddenState:
     """A state takes ownership of a float Z and makes it read-only; it does
@@ -46,8 +51,8 @@ class HiddenState:
 
     def __post_init__(self):
         Z = np.asarray(self.Z, dtype=float)
-        # n, d >= 1: at least two rows, and an even width of at least width(1) = 10
-        if Z.ndim < 2 or Z.shape[-2] < 2 or Z.shape[-1] < 10 or Z.shape[-1] % 2:
+        # n, d >= 1: at least two rows, and a width of some d
+        if Z.ndim < 2 or Z.shape[-2] < 2 or not is_width(Z.shape[-1]):
             raise ValueError(f"state shape {Z.shape} is not (..., n+1, 2d+8) with n, d >= 1")
         Z.setflags(write=False)
         object.__setattr__(self, "Z", Z)

@@ -46,9 +46,10 @@ import numpy as np
 
 from . import dual_descent as dd
 from .dual_descent import DivergenceError
+from .io import write_json_atomic
 from .logdomain import DegeneratePlanError, integer_at_least, log_kernel, plan_matrix, positive_finite
 from .problem import ProblemInstance, cost_matrix, uniform_instance
-from .prompt import MARKER, ONE, U, V, HiddenState, build_prompt, read_dual, width, with_duals
+from .prompt import MARKER, ONE, U, V, HiddenState, build_prompt, is_width, read_dual, width, with_duals
 
 _RESET_GUARD = 1e8
 
@@ -64,9 +65,6 @@ class LayerWeights:
     Qs: np.ndarray
     Wvs: np.ndarray
     Wf: np.ndarray
-    d: int
-    lam: float
-    gamma: float
 
     @property
     def heads(self) -> np.ndarray:
@@ -121,20 +119,16 @@ def layer_forward(state: HiddenState, weights: LayerWeights) -> HiddenState:
     return HiddenState(Z=out)
 
 
-def _check_parameters(d, lam, gamma) -> None:
-    """Refuse a construction outside its domain."""
-    integer_at_least("d", d, 1)
-    positive_finite("lam", lam)
-    positive_finite("gamma", gamma)
-
-
 def build_constructed_weights(d: int, lam: float, gamma: float) -> LayerWeights:
     """Weights for point dimension d, entropic weight lam, stepsize gamma.
 
     Self-checks on a random probe instance that the logit/value identities and
-    the one-layer-equals-one-step property hold before returning.
+    the one-layer-equals-one-step property hold before returning. The set
+    records none of the three: d is its width, lam and gamma sit in Qs and Wvs.
     """
-    _check_parameters(d, lam, gamma)
+    integer_at_least("d", d, 1)
+    positive_finite("lam", lam)
+    positive_finite("gamma", gamma)
     w = width(d)
     r = (w - 4) // 2  # the rank of the cost's factors
 
@@ -160,20 +154,22 @@ def build_constructed_weights(d: int, lam: float, gamma: float) -> LayerWeights:
 
     if not np.isfinite(Qs).all():
         raise ValueError("constructed weights are not finite for these parameters")
-    weights = LayerWeights(Qs=Qs, Wvs=Wvs, Wf=Wf, d=d, lam=lam, gamma=gamma)
-    _probe_check(weights)
+    weights = LayerWeights(Qs=Qs, Wvs=Wvs, Wf=Wf)
+    _probe_check(weights, d, lam, gamma)
     return weights
 
 
-def _probe_check(weights: LayerWeights) -> None:
-    """Verify the construction on a random 3-point instance with nonzero duals.
+def _probe_check(weights: LayerWeights, d: int, lam: float, gamma: float) -> None:
+    """Verify weights built for (d, lam, gamma) on a random 3-point instance
+    with nonzero duals, against the descent oracle at those parameters.
 
     A failure means the construction does not hold at these parameters (say,
     a stepsize whose steps outgrow the feedforward's reset guard), so it is
-    reported as a ValueError like the other parameter checks.
+    reported as a ValueError like the other parameter checks, on one line
+    that names them.
     """
-    rng = np.random.default_rng(1234)
-    n, d, lam = 3, weights.d, weights.lam
+    at = f" at d={d}, lam={lam:g}, gamma={gamma:g}"
+    rng, n = np.random.default_rng(1234), 3
     inst = uniform_instance(rng, n, d, lam)
     sigma = 10.0 * min(lam, 0.005)  # keep probe kernel exponents overflow-free at tiny lam
     u, v = rng.normal(0, sigma, n), rng.normal(0, sigma, n)
@@ -184,28 +180,28 @@ def _probe_check(weights: LayerWeights) -> None:
     want = log_kernel(C, u, v, lam)
     scale = max(1.0, np.abs(want).max())
     if np.abs(logits[0, :n, :n] - want).max() > 1e-9 * scale:
-        raise ValueError("constructed logits do not match the kernel exponents")
+        raise ValueError("constructed logits do not match the kernel exponents" + at)
     if logits[0, n, :].any() or logits[0, :, n].any():
-        raise ValueError("auxiliary token logits are not exactly zero")
+        raise ValueError("auxiliary token logits are not exactly zero" + at)
     if np.abs(logits[1, :n, :n] - want.T).max() > 1e-9 * scale:
-        raise ValueError("second head logits are not the transpose")
+        raise ValueError("second head logits are not the transpose" + at)
 
     values = state.Z @ weights.Wvs[0]
     expect = np.zeros_like(values)
-    expect[:, U] = -weights.gamma * state.Z[:, MARKER]
+    expect[:, U] = -gamma * state.Z[:, MARKER]
     if not np.array_equal(values, expect):
-        raise ValueError("head-1 value map does not read the marker column")
+        raise ValueError("head-1 value map does not read the marker column" + at)
 
     stepped = layer_forward(state, weights)
     got_u, got_v = read_dual(stepped)
-    ref = dd.gd_step(C, dd.DualIterate(u=u, v=v), lam, weights.gamma)
+    ref = dd.gd_step(C, dd.DualIterate(u=u, v=v), lam, gamma)
     if not (
         np.allclose(got_u, ref.u, rtol=1e-9, atol=1e-12)
         and np.allclose(got_v, ref.v, rtol=1e-9, atol=1e-12)
     ):
-        raise ValueError("one layer does not match one descent step")
+        raise ValueError("one layer does not match one descent step" + at)
     if stepped.Z[n, U] != 0.0 or stepped.Z[n, V] != 0.0:
-        raise ValueError("auxiliary dual scratch was not cleared")
+        raise ValueError("auxiliary dual scratch was not cleared" + at)
 
 
 def divergence_guard(C: np.ndarray, lam: float) -> Callable[[int, HiddenState], None]:
@@ -317,39 +313,31 @@ def apply_plan(pattern: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def save_weights(weights: LayerWeights, path) -> None:
-    obj = {
-        "d": weights.d,
-        "lambda": weights.lam,
-        "gamma": weights.gamma,
-        "Qs": weights.Qs.tolist(),
-        "Wvs": weights.Wvs.tolist(),
-        "Wf": weights.Wf.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    """Write the three matrices as nested lists under the keys Qs, Wvs and Wf."""
+    write_json_atomic({"Qs": weights.Qs.tolist(), "Wvs": weights.Wvs.tolist(), "Wf": weights.Wf.tolist()}, path)
 
 
 def load_weights(path) -> LayerWeights:
     """Read back what `save_weights` wrote, and nothing else: another key set
-    (older files kept each value map apart from its stepsize, in a list of
-    layers), parameters `build_constructed_weights` refuses, or a matrix
-    that is not numbers, of another width than d's or with an entry that is
-    not finite raises ValueError."""
+    (older files also recorded d, lambda and gamma, or kept each value map
+    apart from its stepsize, in a list of layers), or a matrix that is not
+    numbers, not of one width w = 2d + 8 for some d >= 1, or with an entry
+    that is not finite raises ValueError."""
     with open(path) as fh:
         obj = json.load(fh)
-    keys = ("d", "lambda", "gamma", "Qs", "Wvs", "Wf")
+    keys = ("Qs", "Wvs", "Wf")
     if not isinstance(obj, dict) or obj.keys() != set(keys):
         raise ValueError(f"{path}: a weights file has exactly the keys {', '.join(keys)}")
-    d, lam, gamma = obj["d"], obj["lambda"], obj["gamma"]
     try:
-        _check_parameters(d, lam, gamma)
-        Qs, Wvs, Wf = (np.array(obj[k], dtype=float) for k in keys[3:])
+        Qs, Wvs, Wf = (np.array(obj[k], dtype=float) for k in keys)
     except (TypeError, ValueError, OverflowError) as err:  # a JSON value of another type or range
         raise ValueError(f"{path}: {err}") from None
-    w = width(d)
+    w = Wf.shape[0] if Wf.ndim else 0
+    if not is_width(w):
+        raise ValueError(f"{path}: Wf has shape {Wf.shape}, not (w, w) for a width w = 2d + 8 with d >= 1")
     for name, m, shape in (("Qs", Qs, (2, w, w)), ("Wvs", Wvs, (2, w, w)), ("Wf", Wf, (w, w))):
         if m.shape != shape:
-            raise ValueError(f"{path}: {name} has shape {m.shape}, not {shape} for d = {d}")
+            raise ValueError(f"{path}: {name} has shape {m.shape}, not {shape}")
         if not np.isfinite(m).all():
             raise ValueError(f"{path}: {name} has an entry that is not finite")
-    return LayerWeights(Qs=Qs, Wvs=Wvs, Wf=Wf, d=d, lam=float(lam), gamma=float(gamma))
+    return LayerWeights(Qs=Qs, Wvs=Wvs, Wf=Wf)

@@ -48,6 +48,21 @@ def test_flip_sign_trips_equivalence():
     assert res.metrics["max_deviation"] > 1e-8
 
 
+@pytest.mark.parametrize("fault", ["2 gamma", "2 lam"])
+def test_equivalence_catches_weights_built_at_other_parameters(monkeypatch, fault):
+    # the oracle takes lam and gamma from the suite's own grid, not from the weights
+    # under test: read from the weights, it passed both faults at 5.2e-16 and 4.4e-16
+    build = checks.build_constructed_weights
+
+    def faulty(d, lam, gamma):
+        return build(d, 2 * lam, gamma) if fault == "2 lam" else build(d, lam, 2 * gamma)
+
+    monkeypatch.setattr(checks, "build_constructed_weights", faulty)
+    res = checks.check_gd_equivalence(n_seeds=1)
+    assert not res.passed
+    assert res.metrics["max_deviation"] > 1e-8
+
+
 def test_equivalence_metrics_report_worst_case():
     res = checks.check_gd_equivalence(n_seeds=2)
     assert res.passed

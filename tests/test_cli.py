@@ -29,9 +29,13 @@ import otlab
 from otlab import cli
 from otlab import transformer_core as tc
 from otlab.cli import main
-from otlab.io import read_matrix_csv
 from otlab.logdomain import marginal_error
-from otlab.problem import permutation_instance
+from otlab.problem import permutation_instance, seeded_instance
+
+
+def _read_csv(path) -> np.ndarray:
+    # skips the `rows,cols` header and the dimension line; exact on repr floats
+    return np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
 
 
 def test_malformed_number_is_usage_error(capsys):
@@ -66,7 +70,7 @@ def test_forward_writes_expected_artifacts(tmp_path, capsys):
     w = tc.build_constructed_weights(1, 0.005, 0.01)
     trace = tc.forward(permutation_instance(4, 0, 0.005), 60, w, checkpoints=range(61))
     for k in (1, 30, 60):
-        A = read_matrix_csv(out / f"A_{k:04d}.csv")
+        A = _read_csv(out / f"A_{k:04d}.csv")
         assert A.shape == (4, 4)
         np.testing.assert_array_equal(A, tc.attention_pattern(trace.states[k], w.Qs[0]))
 
@@ -137,6 +141,25 @@ def test_forward_runs_each_size_once(tmp_path, capsys):
     assert main(["forward", "--n", ",", "--out", str(tmp_path / "none")]) == 1
     assert capsys.readouterr().err == "otlab: argument --n: needs at least one value, got ','\n"
     assert not (tmp_path / "none").exists()
+
+
+def test_forward_weights_and_config_replay_its_last_export(tmp_path):
+    # weights.json holds the matrices only; the manifest's config names the instance
+    out = tmp_path / "run"
+    assert main(["forward", "--n", "6", "--d", "2", "--depth", "40", "--out", str(out)]) == 0
+    weights = tc.load_weights(out / "weights.json")
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    inst = seeded_instance(config["n"][0], config["d"], config["seed"], config["lambda"])
+    trace = tc.forward(inst, config["depth"], weights)
+    np.testing.assert_array_equal(tc.attention_pattern(trace.states[-1], weights.Qs[0]),
+                                  _read_csv(out / "A_0040.csv"))
+
+
+def test_forward_probe_refusal_names_its_parameters(capsys):
+    assert main(["forward", "--gamma", "1e9"]) == 1
+    assert capsys.readouterr().err == (
+        "otlab: one layer does not match one descent step at d=1, lam=0.005, gamma=1e+09\n"
+    )
 
 
 def test_forward_checkpoint_out_of_range(capsys):
@@ -455,13 +478,13 @@ def test_forward_reference_solves_where_sweeps_stall(n, tmp_path, capsys):
     assert main(["forward", "--d", "2", "--n", n, "--depth", "50", "--lambda", "0.005", "--seed", "0",
                  "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
-    assert marginal_error(read_matrix_csv(out / "Pstar.csv")) <= 1e-8
+    assert marginal_error(_read_csv(out / "Pstar.csv")) <= 1e-8
 
 
 def test_sinkhorn_artifacts(tmp_path):
     out = tmp_path / "sk"
     assert main(["sinkhorn", "--n", "3", "--lambda", "0.8", "--out", str(out)]) == 0
-    P = read_matrix_csv(out / "Pstar.csv")
+    P = _read_csv(out / "Pstar.csv")
     np.testing.assert_allclose(P.sum(axis=1), 1 / 3, atol=1e-11)
 
 

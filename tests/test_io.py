@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from otlab.io import read_config, read_matrix_csv, write_json_atomic, write_matrix_csv, write_pgm
+from otlab.io import read_config, write_json_atomic, write_matrix_csv, write_pgm
 
 
 def test_matrix_csv_round_trip_exact(tmp_path):
@@ -11,7 +11,7 @@ def test_matrix_csv_round_trip_exact(tmp_path):
     A = rng.normal(size=(3, 5)) * 10.0 ** rng.integers(-12, 12, size=(3, 5))
     path = tmp_path / "a.csv"
     write_matrix_csv(A, path)
-    np.testing.assert_array_equal(read_matrix_csv(path), A)
+    np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2), A)
 
 
 def test_matrix_csv_header(tmp_path):
@@ -21,20 +21,6 @@ def test_matrix_csv_header(tmp_path):
     assert lines[0] == "rows,cols"
     assert lines[1] == "2,3"
     assert len(lines) == 4
-
-
-def test_matrix_csv_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("not,a\nmatrix\n")
-    with pytest.raises(ValueError):
-        read_matrix_csv(path)
-
-
-def test_matrix_csv_rejects_dimensions_its_data_does_not_have(tmp_path):
-    path = tmp_path / "short.csv"
-    path.write_text("rows,cols\n2,3\n1.0,2.0\n3.0,4.0\n")
-    with pytest.raises(ValueError, match="^matrix CSV dimensions do not match its data$"):
-        read_matrix_csv(path)
 
 
 def test_matrix_csv_deterministic_bytes(tmp_path):

@@ -68,7 +68,6 @@ def test_weight_shapes_and_structure():
     Wf[U, U] = Wf[V, V] = -1.0
     Wf[ONE, [U, V]] = -1e8
     np.testing.assert_array_equal(w.Wf, Wf)
-    assert (w.d, w.lam, w.gamma) == (2, 0.5, 0.1)
 
 
 def test_build_rejects_bad_parameters():
@@ -477,7 +476,6 @@ def test_weights_json_round_trip(tmp_path):
         path = tmp_path / "weights.json"
         save_weights(weights, path)
         back = load_weights(path)
-        assert (back.d, back.lam, back.gamma) == (w.d, w.lam, w.gamma)
         np.testing.assert_array_equal(weights.Qs, back.Qs)
         np.testing.assert_array_equal(weights.Wvs, back.Wvs)
         np.testing.assert_array_equal(weights.Wf, back.Wf)
@@ -490,30 +488,33 @@ def test_weights_json_round_trip(tmp_path):
 
 
 def test_weights_json_bytes_are_pinned(tmp_path):
-    # re-pinned when the prompt came to carry the cost's factors (width 2d + 8,
-    # one flag column); the format must not drift
+    # re-pinned when the file came to hold the three matrices only, written
+    # sorted and indented like the manifests; the format must not drift
     path = tmp_path / "weights.json"
     save_weights(build_constructed_weights(2, 0.05, 0.02), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "76228de9c5edd2b298c17203e3aa5632b86a943d2eb68cb72c0d9bef5f123e5c"
+    assert digest == "ea288330b07ca2cd5031265ca2c694d37da8315822f39dfd3bc0d1697bddbcb4"
 
 
-_OUT_OF_DOMAIN = {"d 0": ("d", 0), "d -1": ("d", -1), "d 1.7": ("d", 1.7), "d '1'": ("d", "1"), "d true": ("d", True),
-                  "lambda -1": ("lambda", -1), "gamma nan": ("gamma", float("nan")), "lambda '1'": ("lambda", "1"),
-                  "lambda 10**400": ("lambda", 10**400)}
+# Files that still record a parameter next to the matrices, as older files
+# recorded d, lambda and gamma. The key set is checked before any value is
+# read, so no recorded value, in or out of the old domain, reaches a gate.
+_RECORDED = {"d 0": ("d", 0), "d -1": ("d", -1), "d 1.7": ("d", 1.7), "d '1'": ("d", "1"), "d true": ("d", True),
+             "lambda -1": ("lambda", -1), "gamma nan": ("gamma", float("nan")), "lambda '1'": ("lambda", "1"),
+             "lambda 10**400": ("lambda", 10**400)}
 
 
-@pytest.mark.parametrize("case", ["old layout", "extra key", "wrong width", "nan entry", "object entry",
-                                  *_OUT_OF_DOMAIN])
+@pytest.mark.parametrize("case", ["old layout", "extra key", "wrong width", "nan entry", "object entry", "odd width",
+                                  "width of d = 0", "scalar Wf", *_RECORDED])
 def test_load_weights_reads_only_what_save_weights_writes(tmp_path, case):
     w = build_constructed_weights(2, 0.05, 0.02)
     path = tmp_path / "weights.json"
     save_weights(w, path)
     obj = json.loads(path.read_text())
     if case == "old layout":  # each head's maps in a one-layer list, the stepsize in B_h = gamma I
-        B = (w.gamma * np.eye(12)).tolist()
-        layer = {"Q1": w.Qs[0].tolist(), "Q2": w.Qs[1].tolist(), "Wv1": (w.Wvs[0] / w.gamma).tolist(),
-                 "Wv2": (w.Wvs[1] / w.gamma).tolist(), "B1": B, "B2": B, "Wf": obj.pop("Wf")}
+        B = (0.02 * np.eye(12)).tolist()
+        layer = {"Q1": w.Qs[0].tolist(), "Q2": w.Qs[1].tolist(), "Wv1": (w.Wvs[0] / 0.02).tolist(),
+                 "Wv2": (w.Wvs[1] / 0.02).tolist(), "B1": B, "B2": B, "Wf": obj.pop("Wf")}
         obj = {"d": 2, "lambda": 0.05, "gamma": 0.02, "layers": [layer]}
     elif case == "extra key":
         obj["note"] = "ignored"
@@ -523,12 +524,14 @@ def test_load_weights_reads_only_what_save_weights_writes(tmp_path, case):
         obj["Wf"][0][0] = float("nan")
     elif case == "object entry":
         obj["Wf"][0][0] = {}
+    elif case == "scalar Wf":
+        obj["Wf"] = 1.0
+    elif case in ("odd width", "width of d = 0"):  # consistent shapes, but of no d >= 1
+        k = 11 if case == "odd width" else width(0)
+        obj = {"Qs": np.zeros((2, k, k)).tolist(), "Wvs": np.zeros((2, k, k)).tolist(), "Wf": np.zeros((k, k)).tolist()}
     else:
-        key, value = _OUT_OF_DOMAIN[case]
-        obj[key] = value
-        if key == "d":  # matrices of the width int(d) gives, so that only d's domain can refuse the file
-            w = width(int(value))
-            obj.update(Qs=np.zeros((2, w, w)).tolist(), Wvs=np.zeros((2, w, w)).tolist(), Wf=np.zeros((w, w)).tolist())
+        key, value = _RECORDED[case]
+        obj.update({"d": 2, "lambda": 0.05, "gamma": 0.02, key: value})
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError) as err:
         load_weights(path)
@@ -541,7 +544,7 @@ def test_heads_are_views_of_the_stacks():
         assert np.shares_memory(Q, w.Qs[h])
         np.testing.assert_array_equal(Q, w.Qs[h])
     # the stacks are the only stored copy of the heads
-    assert [f.name for f in dataclasses.fields(w)] == ["Qs", "Wvs", "Wf", "d", "lam", "gamma"]
+    assert [f.name for f in dataclasses.fields(w)] == ["Qs", "Wvs", "Wf"]
 
 
 def test_equivalence_survives_tiny_lam_deep_run():
