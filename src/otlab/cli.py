@@ -43,7 +43,8 @@ class _Parser(argparse.ArgumentParser):
     # argparse prints its usage and exits 2 on a usage error; this tool keeps 2
     # for verification, and main reports every usage error as one line
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # whole names only: a prefix such as --dep or a file's dep=5 is refused
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # no flag starts with a digit, so "-1e-3" and "-0.5,1" are values;
         # argparse's own pattern admits only plain "-2" and "-.5"
         self._negative_number_matcher = re.compile(r"-\.?\d")
@@ -81,33 +82,29 @@ def _command(commands, name: str, func, help: str, *shared: str) -> _Parser:
     p = commands.add_parser(name, help=help)
     for key in shared:
         p.add_argument(f"--{key}", **_SHARED[key])
-    p.add_argument("--config", help="flat key=value file of flag values; explicit flags win")
+    p.add_argument("--config", help="file of the command's flags, one a line without its dashes; explicit flags win")
     p.set_defaults(func=func)
     return p
 
 
-def _parse(parser: _Parser, commands, argv: list[str] | None) -> argparse.Namespace:
-    """Parse argv. A --config file's lines are parsed as the command's own
-    flags placed ahead of argv's, so explicit flags win wherever they stand."""
+def _parse(parser: _Parser, argv: list[str] | None) -> argparse.Namespace:
+    """Parse argv. Each line of a --config file is one of the command's flags
+    without its dashes, `name=value` or a bare on/off `name`; blank lines and
+    full-line #-comments are skipped. The flags are placed ahead of argv's, so
+    explicit flags win wherever they stand."""
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
     if args.config is None:
         return args
-    sub = commands.choices[args.command]
-    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-    cfg = otio.read_config(args.config)
-    unknown = sorted(set(cfg) - set(actions))
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     tokens = []
-    for key, value in cfg.items():
-        flag = actions[key].option_strings[0]
-        if actions[key].nargs != 0:
-            tokens.append(f"{flag}={value}")
-        elif value.lower() in ("1", "true"):  # an on/off flag such as --quick
-            tokens.append(flag)
-        elif value.lower() not in ("0", "false"):
-            raise ValueError(f"{args.config}: {key} takes 1, true, 0 or false, got {value!r}")
+    with open(args.config) as fh:
+        for line in map(str.strip, fh):
+            if not line or line.startswith("#"):
+                continue
+            name, eq, value = (part.strip() for part in line.partition("="))
+            if name in ("config", "help"):  # --help would print and exit 0; a second --config is never read
+                raise ValueError(f"{args.config}: a config file cannot set --{name}")
+            tokens.append(f"--{name}={value}" if eq else f"--{name}")
     at = argv.index(args.command) + 1
     try:  # argv parsed cleanly above, so an error here is the file's
         return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
@@ -275,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="inject a value-map sign fault (the suites must catch it)")
 
     try:
-        args = _parse(parser, commands, argv)
+        args = _parse(parser, argv)
         args.t0 = time.perf_counter()  # the run's clock, read by _record
         return args.func(args)
     except SystemExit as exc:

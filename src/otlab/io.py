@@ -1,5 +1,4 @@
-"""Deterministic file formats: matrix CSV, 8-bit PGM heatmaps, JSON records
-and flat key=value config files."""
+"""Deterministic file formats: matrix CSV, 8-bit PGM heatmaps and JSON records."""
 
 from __future__ import annotations
 
@@ -55,17 +54,3 @@ def write_json_atomic(obj, path) -> None:
         fh.write(text)
     os.replace(tmp, path)
 
-
-def read_config(path) -> dict[str, str]:
-    """Flat key=value file; blank lines and full-line #-comments ignored."""
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out

@@ -300,8 +300,9 @@ def forward(
 
 
 def apply_plan(pattern: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Barycentric image of x under a nonnegative plan: rescale each row to
-    sum 1, then multiply. A zero row has no barycenter and raises."""
+    """Barycentric image of x, n values of shape (n,) or n points in R^d of
+    shape (n, d), under a nonnegative plan: rescale each row to sum 1, then
+    multiply. A zero row has no barycenter and raises."""
     P = plan_matrix(pattern)
     x = np.asarray(x, dtype=float)
     if P.shape[1] != x.shape[0]:
@@ -309,12 +310,22 @@ def apply_plan(pattern: np.ndarray, x: np.ndarray) -> np.ndarray:
     sums = P.sum(axis=1)
     if (sums <= 0).any():
         raise DegeneratePlanError("plan has a zero row")
-    return (P @ x) / sums
+    return (P @ x) / sums.reshape(-1, *[1] * (x.ndim - 1))  # row i of P @ x by sums[i]
 
 
 def save_weights(weights: LayerWeights, path) -> None:
     """Write the three matrices as nested lists under the keys Qs, Wvs and Wf."""
     write_json_atomic({"Qs": weights.Qs.tolist(), "Wvs": weights.Wvs.tolist(), "Wf": weights.Wf.tolist()}, path)
+
+
+def _json_numbers(value):
+    """value, nested lists of JSON numbers, as it is; float() would also take
+    a string such as "1e0" and true, which are not numbers."""
+    if isinstance(value, list):
+        return [_json_numbers(v) for v in value]
+    if type(value) not in (int, float):  # bool is an int subclass
+        raise TypeError(f"an entry is {json.dumps(value)}, not a number")
+    return value
 
 
 def load_weights(path) -> LayerWeights:
@@ -329,7 +340,7 @@ def load_weights(path) -> LayerWeights:
     if not isinstance(obj, dict) or obj.keys() != set(keys):
         raise ValueError(f"{path}: a weights file has exactly the keys {', '.join(keys)}")
     try:
-        Qs, Wvs, Wf = (np.array(obj[k], dtype=float) for k in keys)
+        Qs, Wvs, Wf = (np.array(_json_numbers(obj[k]), dtype=float) for k in keys)
     except (TypeError, ValueError, OverflowError) as err:  # a JSON value of another type or range
         raise ValueError(f"{path}: {err}") from None
     w = Wf.shape[0] if Wf.ndim else 0

@@ -215,6 +215,7 @@ def test_sort_requires_x(capsys):
         ["sinkhorn", "--tol", "inf", "--d", "2", "--n", "6", "--lambda", "0.1"],  # exited 0 after 1 sweep
         # parser errors printed a bare usage line without the reason
         ["forward", "--bogus", "1"],
+        ["forward", "--dep", "5"],  # a prefix of --depth ran at depth 5
         ["bogus"],
         [],
         ["verify", "--seed", "-1"],  # named neither the flag nor the value
@@ -244,6 +245,7 @@ def test_out_of_domain_input_is_one_line_usage_error(argv, capsys):
              ("forward", "--n", ","): "argument --n: needs at least one value, got ','",
              ("forward", "--checkpoints", ","): "argument --checkpoints: needs at least one value, got ','",
              ("sort",): "the following arguments are required: --x",
+             ("forward", "--dep", "5"): "unrecognized arguments: --dep 5",
              ("gd", "--gamma", "-1e-3"): "gamma must be positive and finite",
              ("sort", "--x", "-0.5,1"): "values to sort must lie in [0, 1]",
              ("forward", "--lambda", "1e-309", "--depth", "3"): "constructed weights are not finite",
@@ -557,7 +559,7 @@ def test_config_file_layering(tmp_path):
 
 def test_config_values_parse_like_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("quick=true\nflip_sign=1\nseed=1\n")
+    cfg.write_text("quick\nflip-sign\nseed=1\n")
     assert main(["verify", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == ""
     # a value the flag's type cannot parse names the file; a seed below 0 is the library's to refuse
@@ -585,7 +587,36 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("depht=5\n")
     assert main(["forward", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err == "otlab: unknown config keys: depht\n"
+    assert capsys.readouterr().err == f"otlab: {cfg}: unrecognized arguments: --depht=5\n"
+
+
+# a line is judged as the flag it spells: an abbreviated or underscored name and a
+# value on an on/off flag are refused like on the command line, and a config or help
+# line, which would be ignored or print the help and exit 0, is refused too
+@pytest.mark.parametrize(
+    "command, line, err",
+    [
+        ("forward", "dep=5", "unrecognized arguments: --dep=5"),
+        ("forward", "conf=other.cfg", "unrecognized arguments: --conf=other.cfg"),
+        ("sinkhorn", "max_sweeps=5", "unrecognized arguments: --max_sweeps=5"),
+        ("verify", "quick=1", "argument --quick: ignored explicit argument '1'"),
+        ("forward", "config=other.cfg", "a config file cannot set --config"),
+        ("forward", "help", "a config file cannot set --help"),
+    ],
+)
+def test_config_line_is_refused_as_its_flag(command, line, err, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"otlab: {cfg}: {err}\n")
+
+
+def test_config_lines_take_spaces_and_comments(tmp_path):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "run"
+    cfg.write_text("# full-line comments only\nn = 8\nlambda=0.05\n\n  max-sweeps =  5000\n")
+    assert main(["sinkhorn", "--config", str(cfg), "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["n"], config["lambda"], config["max_sweeps"]) == (8, 0.05, 5000)
 
 
 def test_missing_config_file_is_usage_error(tmp_path):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from otlab.io import read_config, write_json_atomic, write_matrix_csv, write_pgm
+from otlab.io import write_json_atomic, write_matrix_csv, write_pgm
 
 
 def test_matrix_csv_round_trip_exact(tmp_path):
@@ -81,16 +81,3 @@ def test_json_atomic_writes_numpy_scalars_only(tmp_path):
         write_json_atomic({"a": np.zeros(2)}, tmp_path / "s.json")
     assert list(tmp_path.iterdir()) == [path]  # the failed write left no partial temp file
 
-
-def test_read_config(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("# full-line comments only\nn = 8\nlambda=0.05\n\n  depth =  100\n")
-    cfg = read_config(path)
-    assert cfg == {"n": "8", "lambda": "0.05", "depth": "100"}
-
-
-def test_read_config_rejects_bad_line(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("this is not a pair\n")
-    with pytest.raises(ValueError):
-        read_config(path)

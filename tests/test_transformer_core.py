@@ -449,6 +449,16 @@ def test_apply_plan_row_rescales():
     np.testing.assert_allclose(out, [0.2, 0.8])
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_apply_plan_takes_points_in_rd(d):
+    # unequal row sums: at d = n each row was divided by the sum of another row,
+    # and at d != n numpy raised a broadcast error
+    P = np.array([[0.5, 0.0], [0.25, 0.5]])
+    x = np.arange(2.0 * d).reshape(2, d)
+    expected = np.stack([x[0], (0.25 * x[0] + 0.5 * x[1]) / 0.75])
+    np.testing.assert_allclose(apply_plan(P, x), expected)
+
+
 def test_apply_plan_rejects_non_finite_plan():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
@@ -505,7 +515,7 @@ _RECORDED = {"d 0": ("d", 0), "d -1": ("d", -1), "d 1.7": ("d", 1.7), "d '1'": (
 
 
 @pytest.mark.parametrize("case", ["old layout", "extra key", "wrong width", "nan entry", "object entry", "odd width",
-                                  "width of d = 0", "scalar Wf", *_RECORDED])
+                                  "width of d = 0", "scalar Wf", "string entry", "true entry", *_RECORDED])
 def test_load_weights_reads_only_what_save_weights_writes(tmp_path, case):
     w = build_constructed_weights(2, 0.05, 0.02)
     path = tmp_path / "weights.json"
@@ -524,6 +534,10 @@ def test_load_weights_reads_only_what_save_weights_writes(tmp_path, case):
         obj["Wf"][0][0] = float("nan")
     elif case == "object entry":
         obj["Wf"][0][0] = {}
+    elif case == "string entry":  # float() reads both of these as 1.0
+        obj["Wf"][0][0] = "1e0"
+    elif case == "true entry":
+        obj["Qs"][0][0][0] = True
     elif case == "scalar Wf":
         obj["Wf"] = 1.0
     elif case in ("odd width", "width of d = 0"):  # consistent shapes, but of no d >= 1
