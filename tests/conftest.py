@@ -1,5 +1,7 @@
 import pytest
 
+from otlab import transformer_core as tc
+
 _CRITERION_LINES: list[str] = []
 
 
@@ -15,6 +17,26 @@ def criterion():
         return ok
 
     return record
+
+
+@pytest.fixture
+def fused_steps(monkeypatch):
+    """The fused layers run, one entry per layer: the shape of the state it
+    stepped. Wraps each step function `transformer_core._fused_layers` makes."""
+    steps = []
+    make = tc._fused_layers
+
+    def counted(Z, weights):
+        step = make(Z, weights)
+
+        def counted_step():
+            steps.append(Z.shape)
+            step()
+
+        return counted_step
+
+    monkeypatch.setattr(tc, "_fused_layers", counted)
+    return steps
 
 
 def pytest_terminal_summary(terminalreporter):

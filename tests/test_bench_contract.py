@@ -8,9 +8,12 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from otlab import cli
+from otlab import transformer_core as tc
+from otlab.problem import seeded_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -49,6 +52,30 @@ def test_verify_quick_prints_one_pass_line_per_oracle_suite(workloads):
     lines = text.splitlines()
     assert [ln for ln in lines if not ln.startswith("PASS")] == []
     assert len(lines) == workloads.OracleSuite.suites == 7
+
+
+def test_fused_limit_keeps_each_workload_on_its_side(workloads, tmp_path, fused_steps, monkeypatch):
+    """Sort-batch's n in {4, 8, 16} and every layer `verify` runs (n <= 8)
+    are fused; forward-deep's n = 128 is above the limit and runs `attention`,
+    so the bench times both ways of computing a layer."""
+    calls = []
+    real = tc.attention
+    monkeypatch.setattr(tc, "attention", lambda *args: calls.append(1) or real(*args))
+    sort = workloads.SortBatch(0, tmp_path)
+    sort.setup()
+    for n in sort.sizes:
+        fused_steps.clear()
+        sort.op(np.arange(n) / n)
+        assert len(fused_steps) == workloads.DEPTH and n + 1 <= tc._FUSED_MAX_TOKENS
+    oracle = workloads.OracleSuite(0, tmp_path)
+    oracle.setup()
+    assert workloads._cli(oracle.argv)[0] == cli.EXIT_OK and fused_steps
+    assert not calls
+    deep = workloads.ForwardDeep
+    weights = tc.build_constructed_weights(deep.d, workloads.LAM, workloads.GAMMA)
+    fused_steps.clear()  # the weights' probe layer
+    tc.forward(seeded_instance(deep.n, deep.d, 0, workloads.LAM), 3, weights)
+    assert len(calls) == 3 and not fused_steps
 
 
 def test_forward_deep_properties_solve_its_instance(workloads, tmp_path):

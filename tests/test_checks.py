@@ -82,10 +82,12 @@ def test_run_all_refuses_a_bad_seed_before_any_suite(seed, monkeypatch):
     assert calls == []  # at -1 the equivalence suite ran before check_gradients' rng refused it
 
 
-def test_equivalence_runs_each_group_as_one_stacked_pass(monkeypatch):
+def test_equivalence_runs_each_group_as_one_stacked_pass(monkeypatch, fused_steps):
     """The 60 default runs go as 12 (lam, d, n) groups of 5 seeds: 12 forward
     passes of 50 stacked layers, where one pass per run made 60 and 3,000.
-    Each of the 4 (d, lam) weight sets adds one layer in its probe check."""
+    Each of the 4 (d, lam) weight sets adds one layer in its probe check.
+    Every n is below the fused limit, so each layer is one fused step: 50 per
+    group on its 5 stacked states, and one `layer_forward` per probe."""
     calls = {"forward": 0, "layer_forward": 0}
 
     def counted(name, fn):
@@ -99,7 +101,10 @@ def test_equivalence_runs_each_group_as_one_stacked_pass(monkeypatch):
     monkeypatch.setattr(tc, "layer_forward", counted("layer_forward", tc.layer_forward))
     res = checks.check_gd_equivalence()
     assert res.passed and res.metrics["cases"] == 60
-    assert calls == {"forward": 12, "layer_forward": 12 * 50 + 4}
+    assert calls == {"forward": 12, "layer_forward": 4}
+    stacked = [shape for shape in fused_steps if len(shape) == 3]
+    assert len(stacked) == 12 * 50 and {shape[0] for shape in stacked} == {5}
+    assert len(fused_steps) == 12 * 50 + 4
 
 
 def _counted_gd_run(monkeypatch, step_factor=1.0):

@@ -105,18 +105,11 @@ def test_forward_peak_memory_is_flat_in_depth(capsys):
     assert peaks[8000] - peaks[2000] < 2**20, peaks
 
 
-def test_diverged_forward_stops_at_its_first_bad_layer(monkeypatch, capsys):
-    # the kernel overflows at layer 2; one more call is the weights' probe check
-    calls = []
-    real = tc.layer_forward
-
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(tc, "layer_forward", counted)
+def test_diverged_forward_stops_at_its_first_bad_layer(fused_steps, capsys):
+    # the kernel overflows at layer 2: n = 4 runs fused, two steps, and one
+    # more is the weights' probe check
     assert main(["forward", "--gamma", "1e6", "--depth", "2000"]) == 3
-    assert len(calls) <= 3
+    assert len(fused_steps) == 3
     assert capsys.readouterr().err == "otlab: n=4: attention kernel exceeds 3e+153 at layer 2; the run diverged\n"
 
 

@@ -124,15 +124,19 @@ def test_trace_keeps_only_checkpoints_and_the_final_layer():
             forward(inst, 10, w, checkpoints=bad)
 
 
-def test_observer_sees_every_layer_and_its_exception_ends_the_pass(monkeypatch):
-    inst = permutation_instance(4, 0, 0.5)
+def test_observer_sees_every_layer_and_its_exception_ends_the_pass(monkeypatch, fused_steps):
+    """Below the fused limit the observer gets a copy of each layer's buffer,
+    which later layers leave alone; above it, each layer's own state."""
     w = build_constructed_weights(1, 0.5, 0.1)
-    full = forward(inst, 6, w, checkpoints=range(7))
-    seen = []
-    forward(inst, 6, w, observe=lambda ell, state: seen.append((ell, state.Z)))
-    assert [ell for ell, _ in seen] == list(range(7))
-    for ell, Z in seen:
-        np.testing.assert_array_equal(Z, full.state(ell).Z)
+    small, large = (permutation_instance(n, 0, 0.5) for n in (4, tc._FUSED_MAX_TOKENS))
+    for inst in (small, large):
+        full = forward(inst, 6, w, checkpoints=range(7))
+        seen = []
+        forward(inst, 6, w, observe=lambda ell, state: seen.append((ell, state.Z)))
+        assert [ell for ell, _ in seen] == list(range(7))
+        for ell, Z in seen:
+            np.testing.assert_array_equal(Z, full.state(ell).Z)
+    fused_steps.clear()
 
     calls = []
     real = tc.layer_forward
@@ -150,8 +154,11 @@ def test_observer_sees_every_layer_and_its_exception_ends_the_pass(monkeypatch):
 
     monkeypatch.setattr(tc, "layer_forward", counted)
     with pytest.raises(Stop):
-        forward(inst, 50, w, observe=stop_at_3)
-    assert len(calls) == 3
+        forward(small, 50, w, observe=stop_at_3)
+    assert len(fused_steps) == 3 and not calls
+    with pytest.raises(Stop):
+        forward(large, 50, w, observe=stop_at_3)
+    assert len(calls) == 3 and len(fused_steps) == 3
 
 
 def test_divergence_guard_names_the_first_bad_layer():
@@ -227,6 +234,25 @@ def _softmax_rows(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _fused_loop(state, w):
+    """One layer as one attention over both heads' keys: keys Z Q_h^T and
+    values Z Wv_h stacked head after head, each head's half of the logits
+    normalized by its own row softmax, then one product with the values."""
+    Z = state.Z
+    keys = np.concatenate([Z @ Q.T for Q in w.Qs])
+    values = np.concatenate([Z @ Wv for Wv in w.Wvs])
+    halves = np.split(Z @ keys.T, 2, axis=1)
+    mid = Z + np.hstack([_softmax_rows(h) for h in halves]) @ values
+    return mid + np.maximum(mid @ w.Wf, 0.0)
+
+
+def _layer_references(n):
+    """The written-out layer an n-point prompt runs, and the other one."""
+    if n + 1 <= tc._FUSED_MAX_TOKENS:
+        return _fused_loop, _two_head_loop
+    return _two_head_loop, _fused_loop
+
+
 @pytest.mark.parametrize("lead", [(), (3,)])
 @pytest.mark.parametrize("n, d", [(1, 1), (6, 2), (40, 3)])
 def test_attention_matches_normalize_first_softmax(lead, n, d):
@@ -261,16 +287,54 @@ def test_layers_are_descent_steps_at_forward_deep_shape(n):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("lam, gamma", [(0.005, 0.01), (0.1, 0.1), (1.0, 0.1)])
 def test_stacked_heads_match_head_by_head_loop_bit_for_bit(d, lam, gamma):
+    """Each layer is its written-out reference bit for bit: the fused loop
+    up to the fused limit (n = 2, 5, 17), the head-by-head loop above it
+    (n = 40). The other reference rounds differently within 20 layers, so
+    the check tells the two apart."""
     w = build_constructed_weights(d, lam, gamma)
     for weights in (w, _flip_first_value_sign(w)):
-        for n in (2, 5, 17):
+        for n in (2, 5, 17, 40):
+            reference, other = _layer_references(n)
             rng = np.random.default_rng((n, d))
             inst = ProblemInstance(x=rng.uniform(0, 1, (n, d)), y=rng.uniform(0, 1, (n, d)), lam=lam)
             state = build_prompt(inst)
+            differs = False
             for _ in range(20):
-                want = _two_head_loop(state, weights)
+                want = reference(state, weights)
+                differs |= not np.array_equal(other(state, weights), want)
                 state = layer_forward(state, weights)
                 np.testing.assert_array_equal(state.Z, want)
+            assert differs
+
+
+@pytest.mark.parametrize("n", [tc._FUSED_MAX_TOKENS - 1, tc._FUSED_MAX_TOKENS])
+def test_both_sides_of_the_fused_limit_are_descent(n):
+    """At n + 1 = the fused limit and one above it: criterion 01's 1e-8
+    against descent's trajectory, the 1e-10 step from each layer's own
+    duals, a stacked pass equal to each single pass and to its layers one by
+    one, bit for bit, and the auxiliary row's dual scratch exactly 0.0."""
+    lam, gamma, depth = 0.005, 0.01, 30
+    w = build_constructed_weights(2, lam, gamma)
+    insts = [seeded_instance(n, 2, seed, lam) for seed in range(3)]
+    layers = range(depth + 1)
+    stacked = forward(insts, depth, w, checkpoints=layers)
+    for b, inst in enumerate(insts):
+        single = forward(inst, depth, w, checkpoints=layers)
+        state = single.states[0]
+        C = cost_matrix(inst)
+        oracle = _oracle_duals(inst, depth, gamma)
+        for ell in layers:
+            np.testing.assert_array_equal(stacked.state(ell).Z[b], single.state(ell).Z)
+            np.testing.assert_array_equal(single.state(ell).Z, state.Z)
+            assert state.Z[n, U] == 0.0 and state.Z[n, V] == 0.0
+            u, v = single.duals(ell)
+            assert max(np.abs(u - oracle[ell].u).max(), np.abs(v - oracle[ell].v).max()) <= 1e-8
+            if ell < depth:
+                step = dd.gd_step(C, dd.DualIterate(u=u, v=v), lam, gamma)
+                got_u, got_v = single.duals(ell + 1)
+                residual = max(np.abs(got_u - step.u).max(), np.abs(got_v - step.v).max())
+                assert residual <= 1e-10 * max(np.abs(u).max(), np.abs(v).max(), gamma)
+            state = layer_forward(state, w)
 
 
 @settings(max_examples=40, deadline=None)
@@ -368,18 +432,24 @@ def test_stacked_prompt_needs_one_n_and_d():
             forward(mixed, 2, w)
 
 
-def test_layer_makes_one_attention_call(monkeypatch):
-    calls = []
-    real = tc.attention
+def test_layer_makes_one_attention_call(monkeypatch, fused_steps):
+    """One attention computation per layer: a fused step on buffers made
+    once per pass up to the fused limit, one `attention` call above it."""
+    calls, made = [], []
+    real, make = tc.attention, tc._fused_layers
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
     w = build_constructed_weights(1, 0.5, 0.1)
+    fused_steps.clear()  # the weights' probe layer
     monkeypatch.setattr(tc, "attention", counted)
+    monkeypatch.setattr(tc, "_fused_layers", lambda *args: made.append(1) or make(*args))
     forward(permutation_instance(4, 0, 0.5), 30, weights=w)
-    assert len(calls) == 30
+    assert len(fused_steps) == 30 and len(made) == 1 and not calls
+    forward(permutation_instance(tc._FUSED_MAX_TOKENS, 0, 0.5), 30, weights=w)
+    assert len(calls) == 30 and len(fused_steps) == 30 and len(made) == 1
 
 
 def test_raw_kernel_pattern_is_dual_kernel():
@@ -466,8 +536,9 @@ def test_apply_plan_rejects_non_finite_plan():
 
 
 def test_apply_plan_rejects_x_of_another_length():
-    with pytest.raises(ValueError, match=r"^pattern columns must match len\(x\)$"):
-        apply_plan(np.eye(2), np.zeros(3))
+    for x in (np.zeros(3), 1.0):  # a 0-d x has no length at all
+        with pytest.raises(ValueError, match=r"^pattern columns must match len\(x\)$"):
+            apply_plan(np.eye(2), x)
 
 
 def test_apply_plan_rejects_zero_row():
@@ -476,10 +547,13 @@ def test_apply_plan_rejects_zero_row():
 
 
 def test_weights_json_round_trip(tmp_path):
-    """Constructed weights and the --flip-sign fault both load back exactly."""
+    """Constructed weights and the --flip-sign fault both load back exactly,
+    and a loaded set runs the layer's written-out reference on both sides of
+    the fused limit: n = 2 fused, n = 40 head by head."""
     w = build_constructed_weights(2, 0.05, 0.02)
     inst = ProblemInstance(x=[[0.1, 0.9], [0.8, 0.2]], y=[[0.2, 0.8], [0.9, 0.1]], lam=0.05)
     state = build_prompt(inst)
+    large = build_prompt(seeded_instance(40, 2, 0, 0.05))
     bad = _flip_first_value_sign(w)
     np.testing.assert_array_equal(bad.Wvs, np.stack([-w.Wvs[0], w.Wvs[1]]))  # head 1 only, on a copy
     for weights in (w, bad):
@@ -493,7 +567,8 @@ def test_weights_json_round_trip(tmp_path):
         za = forward(inst, 6, weights=weights).states[-1].Z
         zb = forward(inst, 6, weights=back).states[-1].Z
         np.testing.assert_array_equal(za, zb)
-        np.testing.assert_array_equal(layer_forward(state, back).Z, _two_head_loop(state, weights))
+        np.testing.assert_array_equal(layer_forward(state, back).Z, _fused_loop(state, weights))
+        np.testing.assert_array_equal(layer_forward(large, back).Z, _two_head_loop(large, weights))
     assert not np.array_equal(layer_forward(state, back).Z, layer_forward(state, w).Z)
 
 
