@@ -36,6 +36,16 @@ def integer_at_least(name: str, value, lo: int) -> None:
         raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
+def below_reset_guard(gamma, guard: float) -> None:
+    """Refuse a stepsize of at least the feedforward's reset guard. A step's
+    ratio lies in (-1/n, 1), so it moves a dual by less than gamma: below the
+    guard, a dual that crosses -guard lands exactly on it (Sterbenz's lemma),
+    where `divergence_guard` stops the pass. A larger step can carry a dual so
+    far past that the reset rounds it to 0.0, a silent clamp."""
+    if not gamma < guard:
+        raise ValueError(f"gamma must be below the reset guard {guard:.0e}, got {gamma!r}")
+
+
 def seed64(seed) -> None:
     """Refuse a seed outside [0, 2**64): SplitMix64 keeps 64 bits, so a larger
     seed would name a smaller one's instance."""

@@ -89,10 +89,3 @@ def read_dual(state: HiddenState) -> tuple[np.ndarray, np.ndarray]:
     n = state.n
     return state.Z[..., :n, U].copy(), state.Z[..., :n, V].copy()
 
-
-def with_duals(state: HiddenState, u: np.ndarray, v: np.ndarray) -> HiddenState:
-    """Copy of the state with the data rows' dual scratch set to (u, v)."""
-    Z = state.Z.copy()
-    Z[..., : state.n, U] = u
-    Z[..., : state.n, V] = v
-    return HiddenState(Z=Z)

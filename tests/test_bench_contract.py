@@ -71,9 +71,9 @@ def test_fused_limit_keeps_each_workload_on_its_side(workloads, tmp_path, fused_
     oracle.setup()
     assert workloads._cli(oracle.argv)[0] == cli.EXIT_OK and fused_steps
     assert not calls
+    fused_steps.clear()
     deep = workloads.ForwardDeep
     weights = tc.build_constructed_weights(deep.d, workloads.LAM, workloads.GAMMA)
-    fused_steps.clear()  # the weights' probe layer
     tc.forward(seeded_instance(deep.n, deep.d, 0, workloads.LAM), 3, weights)
     assert len(calls) == 3 and not fused_steps
 

@@ -106,10 +106,10 @@ def test_forward_peak_memory_is_flat_in_depth(capsys):
 
 
 def test_diverged_forward_stops_at_its_first_bad_layer(fused_steps, capsys):
-    # the kernel overflows at layer 2: n = 4 runs fused, two steps, and one
-    # more is the weights' probe check
+    # the kernel overflows at layer 2: n = 4 runs fused, two steps, and
+    # building the weights runs none
     assert main(["forward", "--gamma", "1e6", "--depth", "2000"]) == 3
-    assert len(fused_steps) == 3
+    assert len(fused_steps) == 2
     assert capsys.readouterr().err == "otlab: n=4: attention kernel exceeds 3e+153 at layer 2; the run diverged\n"
 
 
@@ -148,11 +148,12 @@ def test_forward_weights_and_config_replay_its_last_export(tmp_path):
                                   _read_csv(out / "A_0040.csv"))
 
 
-def test_forward_probe_refusal_names_its_parameters(capsys):
-    assert main(["forward", "--gamma", "1e9"]) == 1
-    assert capsys.readouterr().err == (
-        "otlab: one layer does not match one descent step at d=1, lam=0.005, gamma=1e+09\n"
-    )
+def test_forward_refuses_a_stepsize_at_the_reset_guard(capsys):
+    # --gamma 1e300 at lam = 1e-6 exited 0: each layer's reset rounded every dual back to 0.0
+    for argv, got in ((["--gamma", "1e9"], "1000000000.0"),
+                      (["--lambda", "1e-6", "--gamma", "1e300", "--n", "4", "--depth", "20"], "1e+300")):
+        assert main(["forward", *argv]) == 1
+        assert capsys.readouterr() == ("", f"otlab: gamma must be below the reset guard 1e+08, got {got}\n")
 
 
 def test_forward_checkpoint_out_of_range(capsys):
@@ -187,7 +188,7 @@ def test_sort_requires_x(capsys):
     "argv",
     [
         ["sort", "--x", "1e9,0,1"],  # outside the target grid's span [0, 1]
-        ["forward", "--gamma", "1e9"],  # fails the construction's probe check
+        ["forward", "--gamma", "1e9"],  # at or above the feedforward's reset guard 1e8
         ["gd", "--radius", "1e6"],  # radius-matched stepsize underflows to 0
         ["gd", "--gamma", "0"],
         ["gd", "--gamma", "inf"],  # ran to NaN duals and exited 0

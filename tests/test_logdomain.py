@@ -51,6 +51,19 @@ def test_every_gamma_taker_refuses_through_one_gate(gamma):
         assert str(err.value) == f"gamma must be positive and finite, got {gamma!r}"
 
 
+@pytest.mark.parametrize("gamma", [1e8, 1e9, 1e300])
+def test_a_stepsize_at_the_reset_guard_is_refused_at_every_d_and_lam(gamma):
+    # a sampled check accepted gamma = 1e300 at lam = 1e-6, and gamma up to 2-3e8 at lam = 1
+    refusals = set()
+    for d in (1, 2, 3):
+        for lam in (1e-6, 0.005, 1.0, 1e300):
+            with pytest.raises(ValueError) as err:
+                tc.build_constructed_weights(d, lam, gamma)
+            refusals.add(str(err.value))
+            tc.build_constructed_weights(d, lam, np.nextafter(1e8, 0))
+    assert refusals == {f"gamma must be below the reset guard 1e+08, got {gamma!r}"}
+
+
 _W = tc.build_constructed_weights(1, 1.0, 0.1)
 _INST = permutation_instance(4, 0, 1.0)
 
@@ -222,7 +235,8 @@ def test_apply_plan_takes_one_square_plan(A):
 # text keeps its ", got": sinkhorn_lab's normalizers refuse sums that are not "positive and
 # finite", an array rule that no gate covers
 GATE_TEXTS = ["must be positive and finite, got", "must be an integer >=", "must be below 2**64",
-              "radius must be nonnegative", "plan entries must be", "non-empty square matrix"]
+              "must be below the reset guard", "radius must be nonnegative", "plan entries must be",
+              "non-empty square matrix"]
 # an integer bound in any wording: the command line refused --d and --seed as "must be >= 1, got 0"
 INTEGER_BOUND = re.compile(r"must be (an integer )?>=")
 

@@ -205,7 +205,7 @@ def test_sorting_instance_targets_sorted_grid():
 
 
 def test_uniform_instance_draws_x_then_y():
-    # pinned: verify's d = 2 instances, the CLI's `--d` > 1 instances and the weight probe draw these bits
+    # pinned: verify's d = 2 instances and the CLI's `--d` > 1 instances draw these bits
     inst = uniform_instance(np.random.default_rng(7), 3, 2, 0.5)
     rng = np.random.default_rng(7)
     np.testing.assert_array_equal(inst.x, rng.uniform(0, 1, (3, 2)))

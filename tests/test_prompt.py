@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from otlab.problem import ProblemInstance, cost_factors, permutation_instance
-from otlab.prompt import MARKER, ONE, U, V, HiddenState, build_prompt, read_dual, width, with_duals
+from otlab.prompt import MARKER, ONE, U, V, HiddenState, build_prompt, read_dual, width
 
 NAMED = [ONE, MARKER, U, V]
 
@@ -84,21 +84,16 @@ def test_dual_scratch_starts_zero_and_round_trips():
     np.testing.assert_array_equal(v0, np.zeros(3))
 
     u, v = np.array([0.1, -0.2, 0.3]), np.array([-0.5, 0.0, 0.5])
-    state2 = with_duals(state, u, v)
-    ru, rv = read_dual(state2)
+    Z = state.Z.copy()
+    Z[:3, U], Z[:3, V] = u, v
+    ru, rv = read_dual(HiddenState(Z=Z))
     np.testing.assert_array_equal(ru, u)
     np.testing.assert_array_equal(rv, v)
-    # original untouched
-    np.testing.assert_array_equal(read_dual(state)[0], np.zeros(3))
+    ru[0] = 9.0  # a copy: the state keeps its duals
+    np.testing.assert_array_equal(read_dual(HiddenState(Z=Z))[0], u)
 
 
 def test_state_is_immutable():
     state = build_prompt(permutation_instance(2, 0))
     with pytest.raises(ValueError):
         state.Z[0, 0] = 9.0
-
-
-def test_with_duals_rejects_wrong_length():
-    state = build_prompt(permutation_instance(3, 0))
-    with pytest.raises(ValueError):
-        with_duals(state, np.zeros(2), np.zeros(3))
